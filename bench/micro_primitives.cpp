@@ -98,8 +98,9 @@ void BM_TeamBroadcast(benchmark::State& state) {
   vmpi::VirtualComm vc(p, machine::hopper());
   const auto g = vmpi::Grid2d::make(p, 8);
   std::vector<core::PhantomBlock> bufs(static_cast<std::size_t>(p), {16});
+  vmpi::DataPlane<core::PhantomBlock> plane;
   for (auto _ : state) {
-    vmpi::broadcast_teams(vc, g, bufs, &core::PhantomPolicy::bytes);
+    vmpi::broadcast_teams(vc, g, bufs, &core::PhantomPolicy::bytes, vmpi::Phase::Broadcast, plane);
     benchmark::DoNotOptimize(bufs.data());
   }
   state.SetItemsProcessed(state.iterations() * p);

@@ -53,10 +53,6 @@ struct Case {
   double cutoff = 0.1;
   particles::KernelEngine engine = particles::KernelEngine::Batched;
   int threads = 1;
-  /// Host data plane (vmpi/buffer_pool.hpp): pooled lane-subset copies vs
-  /// the legacy full-copy host path. Virtual ledgers are identical; only
-  /// host wall time moves.
-  bool pooled = true;
   /// Initial particle distribution: "uniform", "plummer" (dense core),
   /// or "ring" (annulus). Clustered inputs skew the per-cell interaction
   /// histogram — the workload the stealing scheduler exists for.
@@ -91,7 +87,6 @@ sim::Simulation<particles::InverseSquareRepulsion> make_sim(
   cfg.cutoff = cs.cutoff;
   cfg.dt = 1e-4;
   cfg.engine = cs.engine;
-  cfg.pooled_data_plane = cs.pooled;
   cfg.sched = cs.sched;
   cfg.steal_grain = cs.steal_grain;
   cfg.transport = std::move(transport);
@@ -220,7 +215,6 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("cutoff", r.cfg.cutoff)
           .kv("engine", engine_label(r.cfg.engine))
           .kv("threads", r.cfg.threads)
-          .kv("data_plane", r.cfg.pooled ? "pooled" : "legacy")
           .kv("dist", r.cfg.dist)
           .kv("sched", to_string(r.cfg.sched))
           .kv("steps_per_sec", r.steps_per_sec);
@@ -293,15 +287,9 @@ int main(int argc, char** argv) {
   }
   // Broadcast/reduce-dominated: deep replication (c=8 -> 7 replica copies
   // per team per step) over small blocks, where the per-step host time is
-  // mostly data movement, not force arithmetic. Run with both host data
-  // planes back-to-back so the pooled/legacy ratio is recorded in the same
-  // JSON from the same process on the same host.
-  for (const int n : {128, 512}) {
-    for (const bool pooled : {false, true}) {
-      cases.push_back(
-          {sim::Method::CaAllPairs, n, 64, 8, 0.0, particles::KernelEngine::Batched, 1, pooled});
-    }
-  }
+  // mostly data movement, not force arithmetic.
+  for (const int n : {128, 512})
+    cases.push_back({sim::Method::CaAllPairs, n, 64, 8, 0.0, particles::KernelEngine::Batched, 1});
   // Clustered arm: Plummer core / ring annulus over the cutoff schedule,
   // static vs stealing back-to-back from the same process, so the recorded
   // ratio is an honest same-host comparison. Clustered inputs make per-cell
@@ -312,20 +300,19 @@ int main(int argc, char** argv) {
     for (const int threads : {4, 8}) {
       for (const SchedMode sched : {SchedMode::kStatic, SchedMode::kStealing}) {
         cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1,
-                         particles::KernelEngine::Batched, threads, true, dist, sched, 2});
+                         particles::KernelEngine::Batched, threads, dist, sched, 2});
       }
     }
   }
 
   std::vector<Result> results;
-  std::cout << "method        n      p    c  engine   thr  plane   dist     sched    steps/s\n";
+  std::cout << "method        n      p    c  engine   thr  dist     sched    steps/s\n";
   for (const auto& cs : cases) {
     Result r{cs, measure_steps_per_sec(cs, min_ms, repeats)};
     results.push_back(r);
-    std::printf("%-13s %-6d %-4d %-2d %-8s %-4d %-7s %-8s %-8s %.2f\n",
+    std::printf("%-13s %-6d %-4d %-2d %-8s %-4d %-8s %-8s %.2f\n",
                 sim::method_name(cs.method), cs.n, cs.p, cs.c, engine_label(cs.engine),
-                cs.threads, cs.pooled ? "pooled" : "legacy", cs.dist.c_str(),
-                to_string(cs.sched), r.steps_per_sec);
+                cs.threads, cs.dist.c_str(), to_string(cs.sched), r.steps_per_sec);
   }
   write_json(out_path, results, socket_results, min_ms, repeats);
   std::cout << "wrote " << out_path << "\n";

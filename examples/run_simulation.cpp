@@ -20,8 +20,6 @@
 //                 either way — stealing only rebalances execution
 //   --steal-grain tasks clipped per steal (stealing mode; default 1)
 //   --engine      scalar | batched host force sweep (virtual time unchanged)
-//   --data-plane  pooled | legacy host buffer movement (vmpi/buffer_pool.hpp);
-//                 host wall time only — outputs are bitwise identical
 //   --tune        off | auto | force host autotuning (core/host_tuner.hpp):
 //                 auto calibrates (or reuses --tune-cache) and installs the
 //                 fastest {engine, half-sweep, tile, SIMD backend, threads};
@@ -29,9 +27,9 @@
 //   --tune-cache  path to the persisted tuning cache (docs/TUNING.md)
 //
 // Real transport (docs/TRANSPORT.md). The modeled default moves bytes
-// in-process and only charges the virtual clock; shmem/socket run the same
+// in-process and only charges the virtual clock; socket runs the same
 // schedule over an actual fabric with bitwise-identical output:
-//   --transport        modeled | shmem | socket (default modeled)
+//   --transport        modeled | socket (default modeled)
 //   --transport-groups socket: number of OS processes (forked here unless
 //                      --transport-group names this process's group)
 //   --transport-group  socket: this process's group index, for externally
@@ -88,6 +86,10 @@
 //   --straggler-factor a step slower than this multiple of the rolling
 //                   median wall time is flagged and dumped immediately to
 //                   <series-out>.straggler-step<K>.json (default 3.0)
+//
+// --help prints the option list and exits 0. A bad option or value (an
+// unknown flag, a malformed number, an invalid configuration) prints the
+// error and the option list to stderr and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -95,6 +97,8 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "core/autotuner.hpp"
@@ -155,20 +159,24 @@ std::string tune_distribution_for(const std::string& workload) {
   return "uniform";
 }
 
-}  // namespace
+const std::vector<std::string> kOptions = {
+    "method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff",
+    "seed", "xyz", "csv", "checkpoint", "restart", "report", "rdf",
+    "threads", "sched", "steal-grain", "integrator", "engine",
+    "tune", "tune-cache", "fault-seed", "straggler",
+    "jitter", "drop-rate", "link-degrade", "obs-level", "metrics-out",
+    "trace-out", "spans-csv", "serve", "serve-linger", "series-out",
+    "series-capacity", "straggler-factor", "transport",
+    "transport-groups", "transport-group", "transport-dir",
+    "transport-drop", "transport-drop-seed", "transport-exec"};
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv,
-                     {"method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff",
-                      "seed", "xyz", "csv", "checkpoint", "restart", "report", "rdf",
-                      "threads", "sched", "steal-grain", "integrator", "engine",
-                      "data-plane", "tune", "tune-cache", "fault-seed", "straggler",
-                      "jitter", "drop-rate", "link-degrade", "obs-level", "metrics-out",
-                      "trace-out", "spans-csv", "serve", "serve-linger", "series-out",
-                      "series-capacity", "straggler-factor", "transport",
-                      "transport-groups", "transport-group", "transport-dir",
-                      "transport-drop", "transport-drop-seed", "transport-exec"});
+int run(int argc, char** argv) {
+  const CliArgs args(argc, argv, kOptions);
   using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
+  // Declared before cfg so that, when an error unwinds this function, the
+  // endpoint in cfg.transport is torn down (flush + close barrier) before
+  // ~ProcessGroup reaps the forked children.
+  std::unique_ptr<vmpi::ProcessGroup> launch;
   Sim::Config cfg;
   cfg.method = parse_method(args.get("method", "ca-all-pairs"));
   cfg.machine = parse_machine(args.get("machine", "laptop"));
@@ -179,11 +187,6 @@ int main(int argc, char** argv) {
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.integrator = args.get("integrator", "velocity-verlet");
   cfg.engine = particles::parse_engine(args.get("engine", "scalar"));
-  {
-    const std::string dp = args.get("data-plane", "pooled");
-    CANB_REQUIRE(dp == "pooled" || dp == "legacy", "unknown --data-plane (pooled | legacy)");
-    cfg.pooled_data_plane = dp == "pooled";
-  }
   {
     const auto sched = parse_sched_mode(args.get("sched", "static"));
     CANB_REQUIRE(sched.has_value(), "unknown --sched (static | stealing)");
@@ -212,13 +215,12 @@ int main(int argc, char** argv) {
   // before the simulation is built so every group constructs identical
   // state. `primary` gates every print and file output below: group 0
   // speaks for the run, the other groups compute, feed the fabric, exit 0.
-  std::unique_ptr<vmpi::ProcessGroup> launch;
   std::string owned_rendezvous_dir;
   bool primary = true;
   {
     const std::string tname = args.get("transport", "modeled");
     const auto kind = vmpi::parse_transport_kind(tname);
-    CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | shmem | socket): " + tname);
+    CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | socket): " + tname);
     vmpi::TransportOptions topts;
     topts.kind = *kind;
     topts.ranks = cfg.p;
@@ -531,4 +533,24 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string usage = CliArgs(1, argv, kOptions).usage(argv[0]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      std::cout << usage << "\n";
+      return 0;
+    }
+  }
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {  // PreconditionError, malformed numbers
+    std::cerr << "error: " << e.what() << "\n" << usage << "\n";
+  } catch (const std::out_of_range& e) {  // numbers that overflow their type
+    std::cerr << "error: out-of-range value: " << e.what() << "\n" << usage << "\n";
+  }
+  return 2;
 }

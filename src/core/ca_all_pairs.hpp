@@ -79,22 +79,23 @@ class CaAllPairs {
   }
 
   /// Attaches a host thread pool: the per-rank interaction loop (the O(n^2/p)
-  /// force arithmetic) fans out across host threads, and the data plane (if
-  /// one is attached) fans its copies too. Virtual-rank arithmetic stays
-  /// sequential per rank, so results are bitwise identical to serial.
+  /// force arithmetic) and the data plane's copies fan out across host
+  /// threads. Virtual-rank arithmetic stays sequential per rank, so results
+  /// are bitwise identical to serial.
   void set_host_pool(std::shared_ptr<ThreadPool> pool) {
     pool_ = std::move(pool);
-    if (plane_) plane_->workers = pool_.get();
+    plane_->workers = pool_.get();
   }
 
-  /// Attaches the host data plane (pooled buffers + parallel copies; see
-  /// vmpi/buffer_pool.hpp). Engines of one run share a plane via
-  /// sim::Simulation. nullptr selects the legacy serial/allocating host
-  /// path — host execution only; ledgers, traces, and trajectories are
-  /// bitwise identical either way (tests/test_data_plane.cpp).
+  /// Replaces the engine's host data plane (pooled buffers + parallel
+  /// copies; see vmpi/buffer_pool.hpp), e.g. to share one arena with a
+  /// caller. Host execution only: ledgers, traces, and trajectories do not
+  /// depend on which plane runs them. Rejects nullptr — the engine always
+  /// owns a plane.
   void set_data_plane(std::shared_ptr<vmpi::DataPlane<Buffer>> plane) {
+    CANB_REQUIRE(plane, "set_data_plane needs a plane (the engine always owns one)");
     plane_ = std::move(plane);
-    if (plane_) plane_->workers = pool_.get();
+    plane_->workers = pool_.get();
   }
 
   /// Attaches telemetry (not owned; nullptr detaches). Observation is
@@ -117,7 +118,7 @@ class CaAllPairs {
       shift_loop();
     }
     vmpi::reduce_teams(vc_, grid_, resident_, &Policy::bytes, TeamCombine<Policy>{},
-                       vmpi::Phase::Reduce, plane_.get());
+                       vmpi::Phase::Reduce, *plane_);
     boundary(vmpi::Phase::Reduce, "reduce");
     post_integrate();
     boundary(vmpi::Phase::Compute, "integrate");
@@ -178,38 +179,25 @@ class CaAllPairs {
 
   void broadcast_and_stage() {
     vmpi::broadcast_teams(vc_, grid_, resident_, &Policy::bytes, vmpi::Phase::Broadcast,
-                          plane_.get());
+                          *plane_);
     boundary(vmpi::Phase::Broadcast, "broadcast");
-    if (plane_) {
-      // Carried blocks are pure visitors (the sweeps' read-only operand),
-      // so staging copies only the kernel-input lanes. Non-resident ranks
-      // stage a phantom (size-only) block: the skew/shift rounds still need
-      // correct byte counts from it, but its lanes never feed a sweep here.
-      vmpi::stage_buffers(
-          vc_, resident_, carried_,
-          [this](int r, Carried& c, const Buffer& src) {
-            if (vc_.resident(r)) {
-              vmpi::detail::assign_visitor(c.buf, src);
-            } else {
-              vmpi::detail::phantom_assign(c.buf, src);
-            }
-            c.team = grid_.col_of(r);
-          },
-          plane_.get());
-    } else {
-      for (int r = 0; r < cfg_.p; ++r) {
-        auto& c = carried_[static_cast<std::size_t>(r)];
-        if (vc_.resident(r)) {
-          c.buf = resident_[static_cast<std::size_t>(r)];
-        } else {
-          vmpi::detail::phantom_assign(c.buf, resident_[static_cast<std::size_t>(r)]);
-        }
-        c.team = grid_.col_of(r);
-      }
-    }
+    // Carried blocks are pure visitors (the sweeps' read-only operand), so
+    // staging copies only the kernel-input lanes. Non-resident ranks stage
+    // a phantom (size-only) block: the skew/shift rounds still need correct
+    // byte counts from it, but its lanes never feed a sweep here.
+    vmpi::stage_buffers(
+        vc_, resident_, carried_,
+        [this](int r, Carried& c, const Buffer& src) {
+          if (vc_.resident(r)) {
+            vmpi::detail::assign_visitor(c.buf, src);
+          } else {
+            vmpi::detail::phantom_assign(c.buf, src);
+          }
+          c.team = grid_.col_of(r);
+        },
+        *plane_);
     vmpi::skew_rows(vc_, grid_, [](int row) { return row; }, carried_,
-                    &CaAllPairs::carried_bytes, vmpi::Phase::Skew,
-                    plane_ ? &plane_->ints : nullptr);
+                    &CaAllPairs::carried_bytes, vmpi::Phase::Skew, plane_->ints);
     boundary(vmpi::Phase::Skew, "skew");
   }
 

@@ -21,7 +21,7 @@
 // reduce_teams) and reassign_spatial's exchange_lists — nothing here
 // talks to a fabric directly. Attaching a real transport to the
 // VirtualComm (vmpi/transport.hpp, docs/TRANSPORT.md) therefore carries
-// this engine's payloads over shmem or sockets with zero changes to the
+// this engine's payloads over sockets with zero changes to the
 // schedule below: the transport arms live inside those primitives, and
 // trajectories/ledgers/traces stay bitwise identical to the modeled run
 // (tests/test_transport_parity.cpp pins this).
@@ -110,15 +110,15 @@ class CaCutoff {
   /// data plane's copy fan-out; see CaAllPairs::set_host_pool.
   void set_host_pool(std::shared_ptr<ThreadPool> pool) {
     pool_ = std::move(pool);
-    if (plane_) plane_->workers = pool_.get();
+    plane_->workers = pool_.get();
   }
 
-  /// Attaches the host data plane (pooled buffers + parallel copies); see
-  /// CaAllPairs::set_data_plane. nullptr selects the legacy serial host
-  /// path; bitwise identical outputs either way.
+  /// Replaces the engine's host data plane; see CaAllPairs::set_data_plane.
+  /// Rejects nullptr.
   void set_data_plane(std::shared_ptr<vmpi::DataPlane<Buffer>> plane) {
+    CANB_REQUIRE(plane, "set_data_plane needs a plane (the engine always owns one)");
     plane_ = std::move(plane);
-    if (plane_) plane_->workers = pool_.get();
+    plane_->workers = pool_.get();
   }
 
   /// Attaches telemetry (not owned; nullptr detaches); see
@@ -132,7 +132,7 @@ class CaCutoff {
     if (telem_ != nullptr) telem_->begin_step(vc_);
     pre_integrate();
     vmpi::broadcast_teams(vc_, grid_, resident_, &Policy::bytes, vmpi::Phase::Broadcast,
-                          plane_.get());
+                          *plane_);
     boundary(vmpi::Phase::Broadcast, "broadcast");
     stage_and_skew();
     boundary(vmpi::Phase::Skew, "skew");
@@ -145,7 +145,7 @@ class CaCutoff {
       boundary(vmpi::Phase::Compute, "interact");
     }
     vmpi::reduce_teams(vc_, grid_, resident_, &Policy::bytes, TeamCombine<Policy>{},
-                       vmpi::Phase::Reduce, plane_.get());
+                       vmpi::Phase::Reduce, *plane_);
     boundary(vmpi::Phase::Reduce, "reduce");
     post_integrate();
     boundary(vmpi::Phase::Compute, "integrate");
@@ -213,32 +213,21 @@ class CaCutoff {
   }
 
   void stage_and_skew() {
-    if (plane_) {
-      // Carried blocks are pure visitors here (the sweeps' read-only
-      // operand), so staging copies only the kernel-input lanes.
-      vmpi::stage_buffers(
-          vc_, resident_, carried_,
-          [this](int r, Buffer& dst, const Buffer& src) {
-            // Non-resident ranks stage a phantom (size-only) block: the
-            // skew/shift permutes still need correct byte counts from it,
-            // but its lanes never feed a sweep in this process.
-            if (vc_.resident(r)) {
-              vmpi::detail::assign_visitor(dst, src);
-            } else {
-              vmpi::detail::phantom_assign(dst, src);
-            }
-          },
-          plane_.get());
-    } else {
-      for (int r = 0; r < cfg_.p; ++r) {
-        if (vc_.resident(r)) {
-          carried_[static_cast<std::size_t>(r)] = resident_[static_cast<std::size_t>(r)];
-        } else {
-          vmpi::detail::phantom_assign(carried_[static_cast<std::size_t>(r)],
-                                       resident_[static_cast<std::size_t>(r)]);
-        }
-      }
-    }
+    // Carried blocks are pure visitors here (the sweeps' read-only
+    // operand), so staging copies only the kernel-input lanes.
+    vmpi::stage_buffers(
+        vc_, resident_, carried_,
+        [this](int r, Buffer& dst, const Buffer& src) {
+          // Non-resident ranks stage a phantom (size-only) block: the
+          // skew/shift permutes still need correct byte counts from it,
+          // but its lanes never feed a sweep in this process.
+          if (vc_.resident(r)) {
+            vmpi::detail::assign_visitor(dst, src);
+          } else {
+            vmpi::detail::phantom_assign(dst, src);
+          }
+        },
+        *plane_);
     const auto& geom = cfg_.geometry;
     deltas_.resize(static_cast<std::size_t>(cfg_.c));
     for (int k = 0; k < cfg_.c; ++k) deltas_[static_cast<std::size_t>(k)] = geom.slot_offset(k);
@@ -345,7 +334,7 @@ class CaCutoff {
 
   // --- re-assignment (spatial decomposition maintenance) ------------------
   void reassign() {
-    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine, plane_.get());
+    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine, *plane_);
   }
 
   Config cfg_;

@@ -85,7 +85,7 @@ class MidpointMethod {
                   cfg_.machine.gamma_flop * kIntegrateFlopsPerParticle *
                       static_cast<double>(block.size()));
     }
-    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine);
+    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine, plane_);
   }
 
   void run(int steps) {
@@ -237,6 +237,8 @@ class MidpointMethod {
   vmpi::VirtualComm vc_;
   CutoffGeometry import_;
   std::unique_ptr<particles::Integrator> integrator_;
+  /// Host data plane of the re-assignment loop (see SpatialHaloDecomposition).
+  vmpi::DataPlane<Buffer> plane_;
   std::vector<Buffer> resident_;
 };
 

@@ -27,7 +27,7 @@ std::string get_string(wire::Reader& r) {
 }  // namespace
 
 bool process_local_metric(std::string_view family_name) noexcept {
-  // Fabric, host scheduler, host data-plane, and host sweep families
+  // Fabric, host scheduler, host data plane, and host sweep families
   // diverge across OS processes (under owner-computes each group sweeps
   // only its owned ranks); everything else is an SPMD replica of the
   // virtual cost plane that only group 0 exports.

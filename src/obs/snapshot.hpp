@@ -36,7 +36,7 @@
 namespace canb::obs {
 
 /// True for families whose values are per-OS-process under the SPMD socket
-/// arm (fabric counters, host scheduler, host data-plane seconds). False
+/// arm (fabric counters, host scheduler, host data plane seconds). False
 /// for the virtual-cost replicas, which every group computes identically
 /// and only group 0 may export.
 bool process_local_metric(std::string_view family_name) noexcept;

@@ -117,7 +117,7 @@ class Telemetry final : public vmpi::CommObserver {
   /// under owner-computes). Idempotent gauges; safe to call every step.
   void publish_execution(std::string_view mode, int local_ranks);
 
-  /// Publishes the per-phase HOST data-plane gauges accumulated so far.
+  /// Publishes the per-phase HOST data plane gauges accumulated so far.
   /// Gauges are set, not inc'd, so calling every step is idempotent at the
   /// end of the run; finalize() includes it.
   void publish_host_phases();
@@ -125,7 +125,7 @@ class Telemetry final : public vmpi::CommObserver {
   // --- live accessors (flight recorder / scrape plane) ----------------------
   std::uint64_t sweep_pairs_examined() const noexcept;
   std::uint64_t sweep_pairs_computed() const noexcept;
-  /// Total HOST data-plane seconds across phases so far.
+  /// Total HOST data plane seconds across phases so far.
   double host_seconds() const noexcept;
   /// Label of the most recent phase_boundary() call (tracked at every
   /// level, not just Full); "" before the first boundary.

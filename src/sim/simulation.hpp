@@ -127,12 +127,10 @@ class Simulation {
     /// Observability level (obs/telemetry.hpp). Off by default; attaching
     /// telemetry never changes clocks, ledgers, or trajectories (tested).
     obs::ObsLevel obs = obs::ObsLevel::Off;
-    /// Host data plane (vmpi/buffer_pool.hpp): pooled staging buffers,
-    /// lane-subset copies, and parallel broadcast/reduce data movement.
-    /// Host execution only — ledgers, traces, and trajectories are bitwise
-    /// identical with it on or off (tested); off selects the legacy
-    /// serial/allocating host path.
-    bool pooled_data_plane = true;
+    /// The host data plane (vmpi/buffer_pool.hpp) is the only host path:
+    /// every engine owns one. This constant stays only because the
+    /// benchmark manifest (perfbench/) reads it.
+    static constexpr bool pooled_data_plane = true;
     /// Real byte transport beneath the vmpi primitives (vmpi/transport.hpp).
     /// Null (the default) is the modeled arm: costs only, no fabric. When
     /// set, every message is serialized through the transport and receivers
@@ -143,7 +141,7 @@ class Simulation {
     std::shared_ptr<vmpi::Transport> transport;
     /// Execution mode on a multi-group transport (vmpi/transport.hpp).
     /// OwnerComputes (the default) makes each process run force sweeps,
-    /// reassign splits, and data-plane copies only for its owned ranks —
+    /// reassign splits, and data plane copies only for its owned ranks —
     /// the virtual cost plane stays fully replicated, so ledgers, clocks,
     /// traces, and gathered trajectories are bitwise identical to the
     /// modeled arm. Effective only for the CA methods with a transport
@@ -169,15 +167,6 @@ class Simulation {
         tuned_(maybe_tune(cfg_, initial.size())),
         engine_(make_engine(cfg_, std::move(initial))) {
     set_integrator(cfg_.integrator);
-    // One DataPlane per run: every engine that supports it shares the same
-    // buffer arena (and later the same host pool via set_host_pool). A
-    // disabled plane hands engines a nullptr, selecting the legacy path.
-    if (cfg_.pooled_data_plane) plane_ = std::make_shared<vmpi::DataPlane<Buffer>>();
-    std::visit(
-        [&](auto& e) {
-          if constexpr (requires { e.set_data_plane(plane_); }) e.set_data_plane(plane_);
-        },
-        engine_);
     if (cfg_.fault) {
       fault_model_ = std::make_unique<vmpi::PerturbationModel>(*cfg_.fault, cfg_.p);
       comm().set_fault(fault_model_.get());
@@ -648,8 +637,6 @@ class Simulation {
   std::unique_ptr<vmpi::PerturbationModel> fault_model_;
   /// Heap-owned for the same move-stability reason as the fault model.
   std::unique_ptr<obs::Telemetry> telemetry_;
-  /// The run-wide host data plane (null when pooled_data_plane is false).
-  std::shared_ptr<vmpi::DataPlane<Buffer>> plane_;
   /// The attached host pool (null until set_host_pool): kept so
   /// finalize_telemetry can publish the scheduler's counters.
   std::shared_ptr<ThreadPool> pool_;

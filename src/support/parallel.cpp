@@ -147,6 +147,7 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
     }
   }
 
+  const auto region_start = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     task_dispatch_ = true;
@@ -161,10 +162,17 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   task_dispatch_ = false;
+  // Every worker, the caller included, spans the whole region: whatever of
+  // it a worker did not spend in task bodies (wake-up, steal probes, the
+  // wait for the slowest worker) is its idle time.
+  const std::uint64_t region = elapsed_ns(region_start, std::chrono::steady_clock::now());
+  for (WorkerStats& ws : stats_) {
+    const std::uint64_t busy = ws.region_busy_ns;
+    ws.idle_ns.fetch_add(region > busy ? region - busy : 0, std::memory_order_relaxed);
+  }
 }
 
 void ThreadPool::drain_tasks(int worker) {
-  const auto drain_start = std::chrono::steady_clock::now();
   std::uint64_t busy = 0, ran = 0, stolen = 0;
   WorkerQueue& own = queues_[static_cast<std::size_t>(worker)];
   for (;;) {
@@ -185,13 +193,11 @@ void ThreadPool::drain_tasks(int worker) {
     busy += elapsed_ns(t0, std::chrono::steady_clock::now());
     ran += static_cast<std::uint64_t>(e - b);
   }
-  const std::uint64_t drain =
-      elapsed_ns(drain_start, std::chrono::steady_clock::now());
   WorkerStats& ws = stats_[static_cast<std::size_t>(worker)];
   ws.tasks.fetch_add(ran, std::memory_order_relaxed);
   ws.steals.fetch_add(stolen, std::memory_order_relaxed);
   ws.busy_ns.fetch_add(busy, std::memory_order_relaxed);
-  ws.idle_ns.fetch_add(drain > busy ? drain - busy : 0, std::memory_order_relaxed);
+  ws.region_busy_ns = busy;
 }
 
 bool ThreadPool::try_steal(int worker, int* b, int* e) {

@@ -61,7 +61,10 @@ struct SchedulerStats {
   std::uint64_t steals = 0;  ///< tasks executed by a non-assigned worker
   std::vector<std::uint64_t> tasks_per_worker;
   std::vector<double> busy_seconds;  ///< per worker, time inside task bodies
-  std::vector<double> idle_seconds;  ///< per worker, drain time minus busy
+  /// Per worker, summed over parallel_tasks regions: region wall time
+  /// (dispatch to the last worker's finish) minus the worker's busy time,
+  /// so a worker that finishes early is charged for its wait.
+  std::vector<double> idle_seconds;
 };
 
 class ThreadPool {
@@ -159,12 +162,15 @@ class ThreadPool {
   };
 
   /// Per-worker scheduler accounting, relaxed atomics written by the
-  /// owning worker during a drain.
+  /// owning worker during a drain (idle_ns by the caller at region end).
   struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> idle_ns{0};
+    /// Busy time of the current region; read by the caller once every
+    /// worker has reported done (ordered by mutex_).
+    std::uint64_t region_busy_ns = 0;
   };
 
   void run_chunks(int begin, int end, RawChunkFn fn, void* ctx);

@@ -2,10 +2,9 @@
 // vmpi data plane.
 //
 // The communication primitives (primitives.hpp) and the spatial
-// re-assignment loop (core/reassign.hpp) used to allocate staging blocks on
-// every call: fresh per-round route lists, default-constructed scratch, and
-// copy-assignments that could not promise capacity reuse. A BufferPool is a
-// recycling arena for those blocks: release() keeps a block's heap capacity
+// re-assignment loop (core/reassign.hpp) stage blocks on every call:
+// per-round route lists, permutation scratch, replica copies. A BufferPool
+// is a recycling arena for those blocks: release() keeps a block's heap capacity
 // (SoaBlock lanes keep their vectors, clear()ed to size zero) and acquire()
 // hands it back, so after a warm-up step the hot path performs no heap
 // allocation at all (pinned by tests/test_data_plane.cpp with a counting
@@ -14,10 +13,12 @@
 // A DataPlane bundles the pool with the host ThreadPool the engines already
 // use for force loops, so the primitives can also fan disjoint copies
 // (broadcast replicas, staging copies, per-team route splits) across host
-// threads. Everything here is HOST execution only: virtual-time charges are
-// issued before any data moves, from particle counts alone, so nothing in
-// this file can perturb a ledger, trace, or clock (see DESIGN.md, "host
-// data plane vs. virtual cost model").
+// threads. Every vmpi primitive and reassign entry point takes a plane by
+// reference, so there is exactly one host path. Everything here is HOST
+// execution only: virtual-time charges are issued before any data moves,
+// from particle counts alone, so nothing in this file can perturb a
+// ledger, trace, or clock (see DESIGN.md, "host data plane vs. virtual
+// cost model").
 //
 // Threading contract: acquire()/release() are called only from the serial
 // orchestration thread (between parallel regions); worker threads only
@@ -51,6 +52,8 @@ class BufferPool {
   BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
+  BufferPool(BufferPool&&) = default;  // engines owning a plane stay movable
+  BufferPool& operator=(BufferPool&&) = default;
 
   /// Pops a recycled block (empty, capacity intact) or default-constructs
   /// one when the pool is dry.
@@ -111,10 +114,9 @@ class BufferPool {
 };
 
 /// The host-execution context the engines thread through the primitives:
-/// one arena per run (engines share it via sim::Simulation) plus the host
-/// worker pool for disjoint-destination copies. A null plane pointer in a
-/// primitive selects the legacy serial/allocating path — the pool-off arm
-/// the data-plane property test compares against bitwise.
+/// one arena per engine plus the host worker pool for disjoint-destination
+/// copies. A plane with no workers is the serial run; the data plane
+/// property test pins it bitwise against 2 and 8 workers.
 template <class B>
 struct DataPlane {
   BufferPool<B> pool;

@@ -13,17 +13,15 @@
 // threads) can perturb a ledger, clock, or trace (DESIGN.md, "host data
 // plane vs. virtual cost model").
 //
-// Host execution has two modes, selected by the optional DataPlane*:
-//  * plane == nullptr — the legacy serial path: plain copy-assignment,
-//    per-call allocation where the old code allocated. Kept as the bitwise
-//    reference arm of the data-plane property test.
-//  * plane != nullptr — the zero-allocation path: capacity-preserving
-//    lane-subset assigns (SoaBlock::assign_replica_from /
-//    assign_visitor_from), swap-cycled permutation scratch, and disjoint
-//    destination copies fanned across the plane's host ThreadPool. Outputs
-//    are bitwise identical to the legacy arm (property-tested): copies are
-//    copies, and the reduce fold preserves the serial row order per element
-//    (see reduce_teams below for why a true pairwise tree would not).
+// Host execution runs through a DataPlane (buffer_pool.hpp), which every
+// caller must supply: capacity-preserving lane-subset assigns
+// (SoaBlock::assign_replica_from / assign_visitor_from), swap-cycled
+// permutation scratch, and disjoint destination copies fanned across the
+// plane's host ThreadPool. A plane with no workers runs the same code
+// serially. Outputs are bitwise identical for any worker count
+// (property-tested): copies are copies, and the reduce fold preserves the
+// serial row order per element (see reduce_teams below for why a true
+// pairwise tree would not).
 //
 // When a CommObserver is attached to the VirtualComm, the primitives also
 // report HOST wall seconds per phase through on_host_phase — observation
@@ -175,8 +173,7 @@ void permute_with_transport(VirtualComm& vc, SrcFn&& src_of, std::vector<B>& buf
 
 /// Transport arm of broadcast_teams: each locally-owned leader serializes
 /// once and sends to every team member; after the host copy, every
-/// locally-owned non-leader adopts the wire bytes (full-copy install, the
-/// legacy broadcast semantics).
+/// locally-owned non-leader adopts the wire bytes (full-copy install).
 template <class B, class CopyFn>
 void broadcast_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs,
                               CopyFn&& host_copy) {
@@ -321,17 +318,13 @@ void shift_rows(VirtualComm& vc, const Grid2d& g, int dist, std::vector<B>& bufs
 }
 
 /// Row-dependent shift: row k shifts east by dist_of_row(k) columns. Used
-/// for the initial skew of Algorithms 1 and 2. A persistent `dist_scratch`
-/// (the DataPlane's int scratch) makes the per-step call allocation-free;
-/// null falls back to a per-call local vector.
+/// for the initial skew of Algorithms 1 and 2. The persistent scratch `d`
+/// (the DataPlane's int scratch) keeps the per-step call allocation-free.
 template <class B, class BytesOf, class DistFn>
 void skew_rows(VirtualComm& vc, const Grid2d& g, DistFn&& dist_of_row, std::vector<B>& bufs,
-               BytesOf&& bytes_of, Phase phase = Phase::Skew,
-               std::vector<int>* dist_scratch = nullptr) {
+               BytesOf&& bytes_of, Phase phase, std::vector<int>& d) {
   CANB_ASSERT(static_cast<int>(bufs.size()) == g.size());
   const int q = g.cols();
-  std::vector<int> local;
-  std::vector<int>& d = dist_scratch != nullptr ? *dist_scratch : local;
   d.resize(static_cast<std::size_t>(g.rows()));
   for (int row = 0; row < g.rows(); ++row) {
     int v = dist_of_row(row) % q;
@@ -358,29 +351,21 @@ void skew_rows(VirtualComm& vc, const Grid2d& g, DistFn&& dist_of_row, std::vect
 }
 
 /// Broadcasts each team leader's buffer to the rest of its team (column).
-/// With a DataPlane the c-1 replica copies per team are capacity-preserving
-/// lane-subset assigns, fanned across the host pool — every destination is
-/// a distinct block, so parallel order cannot change any bit of the result.
+/// The c-1 replica copies per team are capacity-preserving lane-subset
+/// assigns, fanned across the plane's host pool — every destination is a
+/// distinct block, so parallel order cannot change any bit of the result.
 template <class B, class BytesOf>
 void broadcast_teams(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs, BytesOf&& bytes_of,
-                     Phase phase = Phase::Broadcast, DataPlane<B>* plane = nullptr) {
+                     Phase phase, DataPlane<B>& plane) {
   CANB_ASSERT(static_cast<int>(bufs.size()) == g.size());
   vc.team_broadcast(g, phase, [&](int col) {
     return static_cast<double>(bytes_of(bufs[static_cast<std::size_t>(g.leader(col))]));
   });
   detail::HostPhaseTimer timer(vc, phase);
   detail::broadcast_with_transport(vc, g, bufs, [&] {
-    if (plane == nullptr) {
-      for (int col = 0; col < g.cols(); ++col) {
-        const auto& src = bufs[static_cast<std::size_t>(g.leader(col))];
-        for (int row = 1; row < g.rows(); ++row)
-          bufs[static_cast<std::size_t>(g.rank(row, col))] = src;
-      }
-      return;
-    }
     const int replicas = g.rows() - 1;
     if (replicas <= 0) return;
-    plane->for_chunks(g.cols() * replicas, [&](int b, int e) {
+    plane.for_chunks(g.cols() * replicas, [&](int b, int e) {
       for (int t = b; t < e; ++t) {
         const int col = t / replicas;
         const int row = 1 + t % replicas;
@@ -392,26 +377,20 @@ void broadcast_teams(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs, Byt
 }
 
 /// Copies every rank's resident buffer into a staging array (the exchange
-/// copy both CA engines make right after the broadcast). With a DataPlane
-/// the copies fan across the host pool; `stage(rank, dst, src)` lets
+/// copy both CA engines make right after the broadcast). The copies fan
+/// across the plane's host pool; `stage(rank, dst, src)` lets
 /// callers stage into wrapper types (CaAllPairs' Carried) and pick a
 /// lane-subset assign. Destinations are disjoint per rank, so parallel
 /// order cannot change a bit.
 template <class B, class Staged, class StageFn>
 void stage_buffers(VirtualComm& vc, const std::vector<B>& bufs, std::vector<Staged>& staged,
-                   StageFn&& stage, DataPlane<B>* plane = nullptr) {
+                   StageFn&& stage, DataPlane<B>& plane) {
   CANB_ASSERT(bufs.size() == staged.size());
   detail::HostPhaseTimer timer(vc, Phase::Skew);
-  const int n = static_cast<int>(bufs.size());
-  auto body = [&](int b, int e) {
+  plane.for_chunks(static_cast<int>(bufs.size()), [&](int b, int e) {
     for (int r = b; r < e; ++r)
       stage(r, staged[static_cast<std::size_t>(r)], bufs[static_cast<std::size_t>(r)]);
-  };
-  if (plane != nullptr) {
-    plane->for_chunks(n, body);
-  } else {
-    body(0, n);
-  }
+  });
 }
 
 /// Reduces each team's buffers into the leader's buffer using
@@ -427,7 +406,7 @@ void stage_buffers(VirtualComm& vc, const std::vector<B>& bufs, std::vector<Stag
 /// Every element still sees rows folded in exactly the serial order.
 template <class B, class BytesOf, class Combine>
 void reduce_teams(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs, BytesOf&& bytes_of,
-                  Combine&& combine, Phase phase = Phase::Reduce, DataPlane<B>* plane = nullptr) {
+                  Combine&& combine, Phase phase, DataPlane<B>& plane) {
   CANB_ASSERT(static_cast<int>(bufs.size()) == g.size());
   vc.team_reduce(g, phase, [&](int col) {
     return static_cast<double>(bytes_of(bufs[static_cast<std::size_t>(g.leader(col))]));
@@ -436,24 +415,17 @@ void reduce_teams(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs, BytesO
   if (detail::reduce_with_transport(vc, g, bufs, combine)) return;
   const int q = g.cols();
   const int rows = g.rows();
-  if (plane == nullptr || rows <= 1) {
-    for (int col = 0; col < q; ++col) {
-      auto& acc = bufs[static_cast<std::size_t>(g.leader(col))];
-      for (int row = 1; row < rows; ++row)
-        combine(acc, bufs[static_cast<std::size_t>(g.rank(row, col))]);
-    }
-    return;
-  }
+  if (rows <= 1) return;  // c = 1: every leader already holds its team's sum
   constexpr bool kRanged =
       std::is_invocable_v<Combine&, B&, const B&, std::size_t, std::size_t> &&
       requires(const B& b) { b.size(); };
-  const int threads = plane->workers != nullptr ? plane->workers->thread_count() : 1;
+  const int threads = plane.workers != nullptr ? plane.workers->thread_count() : 1;
   if constexpr (kRanged) {
     // Flatten (column, element-chunk) into one index space. Chunk count is
     // a pure scheduling knob: each element's fold lives entirely inside one
     // task, so results are identical for any chunking or thread count.
     const int chunks = std::max(1, (2 * threads) / std::max(1, q));
-    plane->for_chunks(q * chunks, [&](int b, int e) {
+    plane.for_chunks(q * chunks, [&](int b, int e) {
       for (int t = b; t < e; ++t) {
         const int col = t / chunks;
         const int k = t % chunks;
@@ -468,7 +440,7 @@ void reduce_teams(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs, BytesO
       }
     });
   } else {
-    plane->for_chunks(q, [&](int b, int e) {
+    plane.for_chunks(q, [&](int b, int e) {
       for (int col = b; col < e; ++col) {
         auto& acc = bufs[static_cast<std::size_t>(g.leader(col))];
         for (int row = 1; row < rows; ++row)

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "support/assert.hpp"
+#include "vmpi/buffer_pool.hpp"
 
 namespace canb::vmpi {
 

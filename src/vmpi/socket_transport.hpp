@@ -13,7 +13,7 @@
 // Each peer connection gets a dedicated reader thread that drains the fd
 // continuously — so a send can never deadlock against a peer that is also
 // sending — feeding a ReliableReceiver whose in-order deliveries land in
-// per-destination-rank mailboxes (same shape as ShmemTransport). Acks ride
+// per-destination-rank mailboxes. Acks ride
 // the same fd in the reverse direction. Retransmits are driven by the
 // orchestration thread: recv() pumps every sender's timeout wheel while it
 // waits, so a dropped frame is re-sent even when the application is blocked.
@@ -28,8 +28,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>

@@ -16,29 +16,23 @@
 //     arrives, then fills `out` (capacity-preserving where possible).
 //     `dst` must be local to this endpoint.
 //   - local(rank): whether `rank`'s payloads materialize in this process.
-//     Single-endpoint backends (modeled, shmem) own every rank; the socket
+//     The single-endpoint modeled backend owns every rank; the socket
 //     backend partitions ranks into process groups.
-//   - barrier(): rendezvous across endpoints; no-op for single-endpoint
-//     backends.
+//   - barrier(): rendezvous across endpoints; no-op for a single endpoint.
 //
 // Backends:
 //   - ModeledTransport: serial in-process FIFO queues, no locks. The
 //     reference implementation of the contract; also useful to exercise
 //     serialization without concurrency in the mix.
-//   - ShmemTransport: ranks-as-threads backend. Mutex-striped per-
-//     destination mailboxes; frame byte-buffers are recycled through a
-//     BufferPool so a warmed steady state stops allocating.
 //   - SocketTransport (socket_transport.hpp): one OS process per rank
 //     group, length-prefixed frames over Unix-domain sockets with a
 //     reliable-channel layer (reliable.hpp).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,11 +40,10 @@
 #include <vector>
 
 #include "support/wire.hpp"
-#include "vmpi/buffer_pool.hpp"
 
 namespace canb::vmpi {
 
-enum class TransportKind { Modeled, Shmem, Socket };
+enum class TransportKind { Modeled, Socket };
 
 const char* transport_kind_name(TransportKind k) noexcept;
 std::optional<TransportKind> parse_transport_kind(std::string_view name) noexcept;
@@ -59,7 +52,7 @@ std::optional<TransportKind> parse_transport_kind(std::string_view name) noexcep
 ///   - Lockstep: every process redundantly computes all p virtual ranks and
 ///     adopts wire bytes at group boundaries (the PR 8 parity-harness mode).
 ///   - OwnerComputes: each process runs force sweeps / reassign splits /
-///     data-plane copies only for ranks its group owns; everything else is
+///     data plane copies only for ranks its group owns; everything else is
 ///     obtained by recv-adoption. The virtual cost plane stays fully
 ///     replicated, so clocks/ledgers/traces remain bitwise identical to the
 ///     modeled arm while host wall-clock drops ~G×.
@@ -109,8 +102,8 @@ class Transport {
   virtual int ranks() const noexcept = 0;
   virtual bool local(int rank) const noexcept { (void)rank; return true; }
 
-  /// How ranks partition into OS endpoints. Single-endpoint backends
-  /// (modeled, shmem) are one group owning every rank; the socket backend
+  /// How ranks partition into OS endpoints. The single-endpoint modeled
+  /// backend is one group owning every rank; the socket backend
   /// reports its process-group geometry so mesh-wide telemetry aggregation
   /// (obs/snapshot.hpp) can address peer endpoints.
   virtual int groups() const noexcept { return 1; }
@@ -141,40 +134,6 @@ class ModeledTransport final : public Transport {
   using Key = std::pair<std::uint64_t, std::uint64_t>;  // (src<<32|dst, tag)
   int ranks_;
   std::map<Key, std::deque<wire::Bytes>> queues_;
-  TransportStats stats_;
-};
-
-/// Ranks-as-threads shared-memory transport. One mailbox per destination
-/// rank (so the lock striping matches the natural sharding of concurrent
-/// senders: senders to different destinations never contend). Frame shells
-/// are recycled via a per-mailbox BufferPool<wire::Bytes>; recv swaps the
-/// frame out and returns the caller's old buffer to the pool, so the warmed
-/// path moves capacity around instead of allocating.
-class ShmemTransport final : public Transport {
- public:
-  explicit ShmemTransport(int ranks);
-  ~ShmemTransport() override = default;
-
-  TransportKind kind() const noexcept override { return TransportKind::Shmem; }
-  int ranks() const noexcept override { return ranks_; }
-
-  void send(int src, int dst, std::uint64_t tag, std::span<const std::byte> payload) override;
-  void recv(int src, int dst, std::uint64_t tag, wire::Bytes& out) override;
-  TransportStats stats() const override;
-
- private:
-  using FlowKey = std::pair<std::uint64_t, std::uint64_t>;  // (src, tag)
-
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<FlowKey, std::deque<wire::Bytes>> flows;
-    BufferPool<wire::Bytes> pool;  // recycled frame shells, guarded by mu
-  };
-
-  int ranks_;
-  std::vector<std::unique_ptr<Mailbox>> boxes_;
-  mutable std::mutex stats_mu_;
   TransportStats stats_;
 };
 

@@ -87,7 +87,7 @@ class VirtualComm {
 
   /// Owner-computes execution: when enabled (requires an attached
   /// transport), engines and primitives skip the *physics* — force sweeps,
-  /// reassign splits, data-plane copies — for ranks whose payloads live in
+  /// reassign splits, data plane copies — for ranks whose payloads live in
   /// another process group, while every virtual charge loop stays fully
   /// replicated so clocks, ledgers, and traces remain bitwise identical to
   /// the modeled arm. Lockstep (the default) keeps resident() always true.

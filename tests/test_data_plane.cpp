@@ -1,10 +1,11 @@
-// The host data-plane acceptance contract (vmpi/buffer_pool.hpp,
+// The host data plane acceptance contract (vmpi/buffer_pool.hpp,
 // primitives.hpp, core/reassign.hpp):
 //
-//  1. The pooled, host-parallel data plane changes NOTHING observable:
-//     trajectories, per-phase ledger fields, and full message traces are
-//     bitwise identical to the legacy serial/allocating host path, across
-//     engines, host thread counts, and under an active PerturbationModel.
+//  1. Fanning the data plane across host workers changes NOTHING
+//     observable: trajectories, per-phase ledger fields, and full message
+//     traces on 2 and 8 threads are bitwise identical to the serial
+//     1-thread run, across engines and under an active PerturbationModel;
+//     the spatial baselines' re-assignment matches its wire-routed twin.
 //  2. After warm-up, the primitives' hot path performs zero heap
 //     allocations (counted with a global operator new hook).
 //  3. The BufferPool actually recycles capacity, and SoaBlock::assign_from
@@ -21,6 +22,8 @@
 #include <optional>
 #include <vector>
 
+#include "core/ca_all_pairs.hpp"
+#include "core/ca_cutoff.hpp"
 #include "core/cutoff_geometry.hpp"
 #include "core/policy.hpp"
 #include "core/reassign.hpp"
@@ -28,10 +31,12 @@
 #include "obs/telemetry.hpp"
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
+#include "support/assert.hpp"
 #include "support/parallel.hpp"
 #include "vmpi/buffer_pool.hpp"
 #include "vmpi/primitives.hpp"
 #include "vmpi/trace.hpp"
+#include "vmpi/transport.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counting hook: every global new in this binary bumps a counter.
@@ -106,23 +111,17 @@ void expect_report_field_equal(const sim::RunReport& got, const sim::RunReport& 
   EXPECT_EQ(got.imbalance, want.imbalance);
 }
 
-// --- the pooled-vs-legacy property matrix ----------------------------------
+// --- the thread-count property matrix ---------------------------------------
 
-struct Arm {
-  bool pooled = true;
-  int threads = 1;
-};
-
-Sim make_sim(sim::Method method, double cutoff, bool fault, const Arm& arm) {
+Sim make_sim(sim::Method method, double cutoff, bool fault, int threads) {
   Sim::Config cfg;
   cfg.method = method;
   cfg.p = method == sim::Method::CaCutoff ? 32 : 16;
-  cfg.c = method == sim::Method::SpatialHalo ? 1 : 2;
+  cfg.c = 2;
   cfg.machine = machine::hopper();
   cfg.kernel = {1e-4, 1e-2};
   cfg.cutoff = cutoff;
   cfg.dt = 1e-4;
-  cfg.pooled_data_plane = arm.pooled;
   if (fault) {
     vmpi::FaultConfig fc;
     fc.seed = 4242;
@@ -133,7 +132,7 @@ Sim make_sim(sim::Method method, double cutoff, bool fault, const Arm& arm) {
     cfg.fault = fc;
   }
   Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
-  if (arm.threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(arm.threads));
+  if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
   return s;
 }
 
@@ -145,27 +144,54 @@ struct RunResult {
   sim::RunReport report;
 };
 
-RunResult run_arm(sim::Method method, double cutoff, bool fault, const Arm& arm) {
-  auto s = make_sim(method, cutoff, fault, arm);
+RunResult run_traced(Sim& s) {
   vmpi::TraceRecorder rec;
   s.comm().set_trace(&rec);
   s.run(kSteps);
   return {vmpi::serialize_trace(rec), s.gather(), s.report()};
 }
 
+RunResult run_arm(sim::Method method, double cutoff, bool fault, int threads) {
+  auto s = make_sim(method, cutoff, fault, threads);
+  return run_traced(s);
+}
+
+void expect_run_equal(const RunResult& got, const RunResult& want) {
+  expect_state_bitwise_equal(got.state, want.state);
+  expect_report_field_equal(got.report, want.report);
+  EXPECT_EQ(got.trace, want.trace) << "full message trace diverged";
+}
+
 void run_matrix(sim::Method method, double cutoff, bool fault) {
-  // Reference: the legacy serial host path on one thread — the exact
-  // pre-data-plane behavior.
-  const auto want = run_arm(method, cutoff, fault, {/*pooled=*/false, /*threads=*/1});
-  const Arm arms[] = {{true, 1}, {true, 2}, {true, 8}, {false, 8}};
-  for (const Arm& arm : arms) {
-    SCOPED_TRACE(::testing::Message() << (arm.pooled ? "pooled" : "legacy") << " plane, "
-                                      << arm.threads << " threads");
-    const auto got = run_arm(method, cutoff, fault, arm);
-    expect_state_bitwise_equal(got.state, want.state);
-    expect_report_field_equal(got.report, want.report);
-    EXPECT_EQ(got.trace, want.trace) << "full message trace diverged";
+  // Reference: the serial plane (no workers) on one thread.
+  const auto want = run_arm(method, cutoff, fault, /*threads=*/1);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    expect_run_equal(run_arm(method, cutoff, fault, threads), want);
   }
+}
+
+/// The spatial baselines take no host pool, so their re-assignment
+/// (recycled route lists, in-place compaction) is checked against the same
+/// run with every list shipment routed through a ModeledTransport — wire
+/// round trips instead of the host appends.
+RunResult run_spatial(sim::Method method, bool routed) {
+  Sim::Config cfg;
+  cfg.method = method;
+  cfg.p = 16;
+  cfg.machine = machine::hopper();
+  cfg.kernel = {1e-4, 1e-2};
+  cfg.cutoff = 0.12;
+  cfg.dt = 5e-3;  // fast particles, long steps: teams trade migrants every step
+  if (routed) cfg.transport = std::make_shared<vmpi::ModeledTransport>(cfg.p);
+  Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 2.0));
+  return run_traced(s);
+}
+
+void run_reassign_check(sim::Method method) {
+  const auto want = run_spatial(method, /*routed=*/false);
+  expect_run_equal(run_spatial(method, /*routed=*/true), want);
+  EXPECT_GT(want.report.reassign, 0.0) << "the run must actually re-assign";
 }
 
 TEST(DataPlaneBitwise, CaAllPairs) { run_matrix(sim::Method::CaAllPairs, 0.0, false); }
@@ -180,13 +206,85 @@ TEST(DataPlaneBitwise, CaCutoffUnderFaultInjection) {
   run_matrix(sim::Method::CaCutoff, 0.12, true);
 }
 
-TEST(DataPlaneBitwise, SpatialHaloReassign) {
-  // The halo baseline shares reassign_spatial; cover its pooled arm too.
-  const auto want = run_arm(sim::Method::SpatialHalo, 0.12, false, {false, 1});
-  const auto got = run_arm(sim::Method::SpatialHalo, 0.12, false, {true, 1});
-  expect_state_bitwise_equal(got.state, want.state);
-  expect_report_field_equal(got.report, want.report);
-  EXPECT_EQ(got.trace, want.trace);
+TEST(DataPlaneBitwise, SpatialHaloReassign) { run_reassign_check(sim::Method::SpatialHalo); }
+
+TEST(DataPlaneBitwise, MidpointReassign) { run_reassign_check(sim::Method::Midpoint); }
+
+TEST(DataPlaneOwnership, EnginesRejectANullPlane) {
+  core::CaAllPairs<core::PhantomPolicy> all_pairs(
+      {16, 2, machine::hopper()}, core::PhantomPolicy({0.0, true}),
+      std::vector<core::PhantomBlock>(8, {16}));
+  EXPECT_THROW(all_pairs.set_data_plane(nullptr), PreconditionError);
+  core::CaCutoff<core::PhantomPolicy> cutoff(
+      {32, 2, machine::hopper(), core::CutoffGeometry::make_1d(16, 2), false},
+      core::PhantomPolicy({0.05, true}), std::vector<core::PhantomBlock>(16, {16}));
+  EXPECT_THROW(cutoff.set_data_plane(nullptr), PreconditionError);
+}
+
+// --- re-assignment against a keep-list oracle --------------------------------
+//
+// One routing round on a 1D grid, fanned across two workers: every team
+// keeps its stayers in their original order, then appends the particles
+// arriving from the team below (the +1 shipment), then those from the team
+// above (the -1 shipment). The oracle builds exactly that from the input,
+// so any reordering or lane mix-up in the in-place compaction shows up.
+
+TEST(DataPlaneReassign, MatchesKeepListOracle) {
+  using Policy = core::RealPolicy<particles::InverseSquareRepulsion>;
+  constexpr int q = 8;
+  constexpr int kPerTeam = 24;
+  const auto g = vmpi::Grid2d::make(2 * q, 2);
+  const auto geom = core::CutoffGeometry::make_1d(q, 1);
+  const auto box = particles::Box::reflective_1d(1.0);
+  Policy policy(Policy::Config{box, {1e-4, 1e-2}, 0.25, 1e-4});
+  vmpi::VirtualComm vc(g.size(), machine::hopper());
+  ThreadPool workers(2);
+  vmpi::DataPlane<SoaBlock> plane;
+  plane.workers = &workers;
+
+  // Team t holds kPerTeam particles; every third one sits in the team
+  // above and the next one in the team below (none leave the box).
+  std::vector<SoaBlock> bufs(static_cast<std::size_t>(g.size()));
+  std::vector<std::vector<particles::Particle>> held(q);
+  std::vector<int> dest_of;
+  for (int t = 0; t < q; ++t) {
+    for (int i = 0; i < kPerTeam; ++i) {
+      int dest = t;
+      if (i % 3 == 1 && t + 1 < q) dest = t + 1;
+      if (i % 3 == 2 && t > 0) dest = t - 1;
+      particles::Particle p;
+      p.id = static_cast<std::int32_t>(dest_of.size());
+      p.px = (static_cast<float>(dest) + (static_cast<float>(i) + 0.5f) / kPerTeam) / q;
+      p.py = 0.5f;
+      p.vx = 0.001f * static_cast<float>(p.id);
+      dest_of.push_back(dest);
+      held[static_cast<std::size_t>(t)].push_back(p);
+      bufs[static_cast<std::size_t>(g.leader(t))].push_back(p);
+    }
+  }
+  auto movers = [&](int from, int to) {
+    std::vector<particles::Particle> out;
+    if (from < 0 || from >= q) return out;
+    for (const auto& p : held[static_cast<std::size_t>(from)])
+      if (dest_of[static_cast<std::size_t>(p.id)] == to) out.push_back(p);
+    return out;
+  };
+
+  core::reassign_spatial(vc, g, geom, policy, bufs, vc.model(), plane);
+
+  for (int t = 0; t < q; ++t) {
+    SCOPED_TRACE(::testing::Message() << "team " << t);
+    std::vector<particles::Particle> want = movers(t, t);
+    for (const auto& p : movers(t - 1, t)) want.push_back(p);
+    for (const auto& p : movers(t + 1, t)) want.push_back(p);
+    const SoaBlock& got = bufs[static_cast<std::size_t>(g.leader(t))];
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.id[i], want[i].id) << "slot " << i;
+      EXPECT_TRUE(bits_equal(got.px[i], want[i].px)) << "slot " << i;
+      EXPECT_TRUE(bits_equal(got.vx[i], want[i].vx)) << "slot " << i;
+    }
+  }
 }
 
 // --- BufferPool / SoaBlock capacity units ----------------------------------
@@ -274,19 +372,19 @@ TEST(DataPlaneSteadyState, PrimitivesHotPathAllocatesNothing) {
   for (int r = 0; r < p; ++r) perm[static_cast<std::size_t>(r)] = (r + q) % p;
 
   auto one_iteration = [&] {
-    vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, vmpi::Phase::Broadcast, &plane);
+    vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, vmpi::Phase::Broadcast, plane);
     vmpi::stage_buffers(
         vc, bufs, staged,
         [](int, SoaBlock& dst, const SoaBlock& src) { vmpi::detail::assign_visitor(dst, src); },
-        &plane);
+        plane);
     vmpi::skew_rows(vc, g, [](int row) { return row; }, staged, &Policy::bytes,
-                    vmpi::Phase::Skew, &plane.ints);
+                    vmpi::Phase::Skew, plane.ints);
     vmpi::shift_rows(vc, g, 1, staged, &Policy::bytes);
     vmpi::permute_buffers(vc, [&](int r) { return perm[static_cast<std::size_t>(r)]; }, staged,
                           scratch, &Policy::bytes, vmpi::Phase::Shift);
     vmpi::reduce_teams(vc, g, bufs, &Policy::bytes, core::TeamCombine<Policy>{},
-                       vmpi::Phase::Reduce, &plane);
-    core::reassign_spatial(vc, g, geom, policy, bufs, vc.model(), &plane);
+                       vmpi::Phase::Reduce, plane);
+    core::reassign_spatial(vc, g, geom, policy, bufs, vc.model(), plane);
   };
 
   for (int i = 0; i < 3; ++i) one_iteration();  // warm-up: grow every capacity

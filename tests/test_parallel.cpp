@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "core/ca_all_pairs.hpp"
 #include "core/policy.hpp"
@@ -146,6 +148,30 @@ TEST(Scheduler, StatsCountCallsTasksAndWorkers) {
   EXPECT_EQ(zeroed.calls, 0u);
   EXPECT_EQ(zeroed.tasks, 0u);
   EXPECT_EQ(zeroed.steals, 0u);
+}
+
+TEST(Scheduler, IdleSecondsChargeEndOfRegionWaits) {
+  // Two workers, one sleeping task and one empty task: whoever runs the
+  // empty task waits out the sleep — inside its own drain when it is a
+  // pool worker, in the done wait when it is the calling thread. Either
+  // way that wait is idle time.
+  constexpr double kSleepSeconds = 0.05;
+  for (const int sleeper : {0, 1}) {
+    SCOPED_TRACE(::testing::Message() << "sleeping task " << sleeper);
+    ThreadPool pool(2);
+    int ran_by[2] = {-1, -1};
+    pool.parallel_tasks(2, [&](int task, int worker) {
+      ran_by[task] = worker;
+      if (task == sleeper)
+        std::this_thread::sleep_for(std::chrono::duration<double>(kSleepSeconds));
+    });
+    ASSERT_NE(ran_by[0], ran_by[1]) << "static chunks give each worker one task";
+    const SchedulerStats stats = pool.scheduler_stats();
+    const auto waiter = static_cast<std::size_t>(ran_by[1 - sleeper]);
+    const auto busy = static_cast<std::size_t>(ran_by[sleeper]);
+    EXPECT_GE(stats.busy_seconds[busy], kSleepSeconds);
+    EXPECT_GE(stats.idle_seconds[waiter], 0.8 * kSleepSeconds);
+  }
 }
 
 TEST(Scheduler, StealGrainClampsToOne) {

@@ -7,9 +7,7 @@
 //   3. zero-length payloads are legal frames and arrive as such;
 //   4. large frames (megabytes) survive intact;
 //   5. SoaBlock payloads round-trip bitwise through wire encode/decode;
-//   6. concurrent senders to one destination keep per-sender order
-//      (shmem: mailbox striping under real contention);
-//   7. with a transport attached, the vmpi primitives produce buffers
+//   6. with a transport attached, the vmpi primitives produce buffers
 //      bitwise identical to the unattached in-process reference.
 //
 // The socket backend is exercised in-process as a 2-group mesh: both
@@ -41,7 +39,6 @@ namespace {
 using namespace canb;
 using particles::SoaBlock;
 using vmpi::ModeledTransport;
-using vmpi::ShmemTransport;
 using vmpi::SocketConfig;
 using vmpi::SocketTransport;
 using vmpi::Transport;
@@ -55,7 +52,7 @@ wire::Bytes pattern(std::size_t n, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-endpoint conformance (modeled and shmem own every rank).
+// Single-endpoint conformance (the modeled backend owns every rank).
 
 void check_fifo_per_flow(Transport& t) {
   for (int i = 0; i < 16; ++i) t.send(0, 1, /*tag=*/7, pattern(32, static_cast<std::uint64_t>(i)));
@@ -127,40 +124,6 @@ TEST(TransportConformance, Modeled) {
   ModeledTransport t(4);
   EXPECT_EQ(t.kind(), vmpi::TransportKind::Modeled);
   run_single_endpoint_suite(t);
-}
-
-TEST(TransportConformance, Shmem) {
-  ShmemTransport t(4);
-  EXPECT_EQ(t.kind(), vmpi::TransportKind::Shmem);
-  run_single_endpoint_suite(t);
-}
-
-TEST(TransportConformance, ShmemConcurrentSendersKeepPerSenderOrder) {
-  constexpr int kSenders = 8;
-  constexpr int kFrames = 200;
-  ShmemTransport t(kSenders + 1);
-  const int dst = kSenders;  // everyone hammers one mailbox
-  std::vector<std::thread> senders;
-  senders.reserve(kSenders);
-  for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&t, s] {
-      for (int i = 0; i < kFrames; ++i)
-        t.send(s, kSenders, /*tag=*/1,
-               pattern(24, static_cast<std::uint64_t>(s) * 1000u + static_cast<std::uint64_t>(i)));
-    });
-  }
-  // Drain while the senders are still pushing: recv blocks until frames land.
-  wire::Bytes got;
-  for (int s = 0; s < kSenders; ++s) {
-    for (int i = 0; i < kFrames; ++i) {
-      t.recv(s, dst, 1, got);
-      EXPECT_EQ(got,
-                pattern(24, static_cast<std::uint64_t>(s) * 1000u + static_cast<std::uint64_t>(i)))
-          << "sender " << s << " frame " << i;
-    }
-  }
-  for (auto& th : senders) th.join();
-  EXPECT_EQ(t.stats().frames_received, static_cast<std::uint64_t>(kSenders) * kFrames);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,9 +252,9 @@ TEST(WireFormat, EmptyBlockAndScalarFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive-level conformance: with a single-endpoint transport attached,
-// broadcast / skew / shift / permute / reduce must leave buffers bitwise
-// identical to the unattached in-process reference.
+// Primitive-level conformance: with a transport attached, broadcast / skew /
+// shift / permute / reduce must leave buffers bitwise identical to the
+// unattached in-process reference.
 
 using Policy = core::RealPolicy<particles::InverseSquareRepulsion>;
 
@@ -310,14 +273,16 @@ std::vector<SoaBlock> run_primitive_round(Transport* t) {
     for (const auto& part : blk) bufs[static_cast<std::size_t>(g.leader(col))].push_back(part);
   }
 
-  vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, vmpi::Phase::Broadcast);
-  vmpi::skew_rows(vc, g, [](int row) { return row; }, bufs, &Policy::bytes, vmpi::Phase::Skew);
+  vmpi::DataPlane<SoaBlock> plane;
+  vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, vmpi::Phase::Broadcast, plane);
+  vmpi::skew_rows(vc, g, [](int row) { return row; }, bufs, &Policy::bytes, vmpi::Phase::Skew,
+                  plane.ints);
   vmpi::shift_rows(vc, g, 1, bufs, &Policy::bytes);
   std::vector<SoaBlock> scratch;
   vmpi::permute_buffers(vc, [p](int r) { return (r + 3) % p; }, bufs, scratch, &Policy::bytes,
                         vmpi::Phase::Shift);
   vmpi::reduce_teams(vc, g, bufs, &Policy::bytes, core::TeamCombine<Policy>{},
-                     vmpi::Phase::Reduce);
+                     vmpi::Phase::Reduce, plane);
   return bufs;
 }
 
@@ -349,12 +314,20 @@ TEST(TransportPrimitives, ModeledRoutingMatchesReference) {
   EXPECT_GT(t.stats().frames_sent, 0u) << "primitives must actually route through the transport";
 }
 
-TEST(TransportPrimitives, ShmemRoutingMatchesReference) {
+TEST(TransportPrimitives, SocketMeshRoutingMatchesReference) {
+  // Both endpoints run the same round (each replicates the ranks it does
+  // not own and adopts wire bytes for the ones it does), so both must
+  // finish bitwise identical to the reference.
   const auto want = run_primitive_round(nullptr);
-  ShmemTransport t(8);
-  const auto got = run_primitive_round(&t);
-  expect_blocks_bitwise_equal(got, want);
-  EXPECT_GT(t.stats().frames_sent, 0u);
+  SocketPair mesh(/*drop_rate=*/0.0, /*ranks=*/8);
+  std::vector<SoaBlock> got_b;
+  std::thread tb([&] { got_b = run_primitive_round(mesh.b.get()); });
+  const auto got_a = run_primitive_round(mesh.a.get());
+  tb.join();
+  expect_blocks_bitwise_equal(got_a, want);
+  expect_blocks_bitwise_equal(got_b, want);
+  EXPECT_GT(mesh.a->stats().frames_sent, 0u);
+  EXPECT_GT(mesh.b->stats().frames_sent, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,19 +335,15 @@ TEST(TransportPrimitives, ShmemRoutingMatchesReference) {
 
 TEST(TransportFactory, NamesRoundTripAndModeledYieldsNull) {
   using vmpi::TransportKind;
-  for (const auto k : {TransportKind::Modeled, TransportKind::Shmem, TransportKind::Socket})
+  for (const auto k : {TransportKind::Modeled, TransportKind::Socket})
     EXPECT_EQ(vmpi::parse_transport_kind(vmpi::transport_kind_name(k)), k);
   EXPECT_FALSE(vmpi::parse_transport_kind("carrier-pigeon").has_value());
+  EXPECT_FALSE(vmpi::parse_transport_kind("shmem").has_value());
 
   vmpi::TransportOptions opts;
   opts.ranks = 4;
   EXPECT_EQ(vmpi::make_transport(opts), nullptr)
       << "modeled means no transport attached, by design";
-  opts.kind = TransportKind::Shmem;
-  const auto t = vmpi::make_transport(opts);
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->kind(), TransportKind::Shmem);
-  EXPECT_EQ(t->ranks(), 4);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-backend parity: running a full simulation over a *real* transport
-// (routed modeled queues, ranks-as-threads shmem, or a genuine 2-process-
-// group Unix-socket mesh driven in-process) must be bitwise identical to
+// (routed modeled queues, or a genuine 2-process-group Unix-socket mesh
+// driven in-process) must be bitwise identical to
 // the no-transport modeled arm — trajectories, every CostLedger-derived
 // report field, and the full serialized message trace. The matrix extends
 // tests/test_data_plane.cpp's idiom: backends x CA engines x host thread
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -90,7 +91,8 @@ struct RunResult {
   sim::RunReport report;
 };
 
-RunResult run_arm(const Case& cs, int threads, std::shared_ptr<vmpi::Transport> transport) {
+RunResult run_arm(const Case& cs, int threads, std::shared_ptr<vmpi::Transport> transport,
+                  const std::optional<vmpi::FaultConfig>& fault = std::nullopt) {
   Sim::Config cfg;
   cfg.method = cs.method;
   cfg.p = cs.p;
@@ -100,6 +102,7 @@ RunResult run_arm(const Case& cs, int threads, std::shared_ptr<vmpi::Transport> 
   cfg.cutoff = cs.cutoff;
   cfg.dt = 1e-4;
   cfg.transport = std::move(transport);
+  cfg.fault = fault;
   Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
   if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
   vmpi::TraceRecorder rec;
@@ -114,21 +117,15 @@ void expect_run_equal(const RunResult& got, const RunResult& want) {
   EXPECT_EQ(got.trace, want.trace) << "full message trace diverged";
 }
 
-// --- single-endpoint backends across host thread counts ----------------------
+// --- the single-endpoint backend across host thread counts -------------------
 
 void run_single_endpoint_matrix(const Case& cs) {
   const auto want = run_arm(cs, /*threads=*/1, nullptr);  // the modeled arm
   for (const int threads : {1, 2, 8}) {
-    {
-      SCOPED_TRACE(::testing::Message() << "routed modeled, " << threads << " threads");
-      expect_run_equal(run_arm(cs, threads, std::make_shared<vmpi::ModeledTransport>(cs.p)), want);
-    }
-    {
-      SCOPED_TRACE(::testing::Message() << "shmem, " << threads << " threads");
-      auto t = std::make_shared<vmpi::ShmemTransport>(cs.p);
-      expect_run_equal(run_arm(cs, threads, t), want);
-      EXPECT_GT(t->stats().frames_sent, 0u) << "the run must actually use the fabric";
-    }
+    SCOPED_TRACE(::testing::Message() << "routed modeled, " << threads << " threads");
+    auto t = std::make_shared<vmpi::ModeledTransport>(cs.p);
+    expect_run_equal(run_arm(cs, threads, t), want);
+    EXPECT_GT(t->stats().frames_sent, 0u) << "the run must actually use the fabric";
   }
 }
 
@@ -144,8 +141,9 @@ TEST(TransportParity, CaCutoffSingleEndpointBackends) { run_single_endpoint_matr
 // modeled arm — group 0's output is authoritative, group 1 matching too
 // pins the replication claim.
 
-void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
-  const auto want = run_arm(cs, 1, nullptr);
+void run_socket_matrix(const Case& cs, int threads, double drop_rate,
+                       const std::optional<vmpi::FaultConfig>& fault = std::nullopt) {
+  const auto want = run_arm(cs, 1, nullptr, fault);
   const std::string dir = vmpi::make_rendezvous_dir();
   RunResult results[2];
   std::uint64_t wire_frames[2] = {0, 0};
@@ -157,7 +155,7 @@ void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
     sc.dir = dir;
     sc.drop_rate = drop_rate;
     auto t = std::make_shared<vmpi::SocketTransport>(sc);  // blocks on rendezvous
-    results[group] = run_arm(cs, threads, t);
+    results[group] = run_arm(cs, threads, t, fault);
     wire_frames[group] = t->stats().frames_sent;
     // `t` (the last reference) dies here: flush + close barrier against
     // the peer group, which is why both groups run concurrently.
@@ -196,34 +194,24 @@ TEST(TransportParity, CaCutoffSocketMeshLossyLink) {
 // --- transports compose with the modeled fault injection ---------------------
 //
 // PerturbationModel perturbs modeled *costs*; the transport moves real
-// bytes. They must stack without interfering: faulted-modeled and
-// faulted-shmem agree bitwise (including retry/timeout ledger fields).
+// bytes. They must stack without interfering: the faulted run agrees
+// bitwise (including retry/timeout ledger fields) over the routed modeled
+// queues and over the socket mesh.
 
-TEST(TransportParity, ShmemUnderFaultInjectionMatchesModeled) {
-  auto faulted = [](std::shared_ptr<vmpi::Transport> t) {
-    Sim::Config cfg;
-    cfg.method = sim::Method::CaAllPairs;
-    cfg.p = 16;
-    cfg.c = 2;
-    cfg.machine = machine::hopper();
-    cfg.kernel = {1e-4, 1e-2};
-    cfg.dt = 1e-4;
-    vmpi::FaultConfig fc;
-    fc.seed = 4242;
-    fc.straggler_rate = 0.05;
-    fc.jitter = 0.1;
-    fc.drop_rate = 0.02;
-    fc.link_degrade_rate = 0.1;
-    cfg.fault = fc;
-    cfg.transport = std::move(t);
-    Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
-    vmpi::TraceRecorder rec;
-    s.comm().set_trace(&rec);
-    s.run(kSteps);
-    return RunResult{vmpi::serialize_trace(rec), s.gather(), s.report()};
-  };
-  const auto want = faulted(nullptr);
-  expect_run_equal(faulted(std::make_shared<vmpi::ShmemTransport>(16)), want);
+TEST(TransportParity, UnderFaultInjectionMatchesModeled) {
+  vmpi::FaultConfig fc;
+  fc.seed = 4242;
+  fc.straggler_rate = 0.05;
+  fc.jitter = 0.1;
+  fc.drop_rate = 0.02;
+  fc.link_degrade_rate = 0.1;
+  const auto want = run_arm(kAllPairs, 1, nullptr, fc);
+  {
+    SCOPED_TRACE("routed modeled");
+    expect_run_equal(run_arm(kAllPairs, 1, std::make_shared<vmpi::ModeledTransport>(16), fc),
+                     want);
+  }
+  run_socket_matrix(kAllPairs, 1, 0.0, fc);
 }
 
 }  // namespace
