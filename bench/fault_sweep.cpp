@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/build_flavor.hpp"
 #include "bench/common.hpp"
 #include "obs/export.hpp"
 #include "support/cli.hpp"
@@ -156,6 +157,7 @@ void write_json(const std::string& path, std::uint64_t seed, int steps,
                 const std::vector<DataPoint>& points) {
   obs::RunManifest manifest;
   manifest.machine = "hopper,intrepid";  // per-row `machine` names the panel's model
+  bench::record_build_flavor(manifest);
   manifest.set("fault_seed", seed).set("steps", steps);
   obs::BenchJsonWriter out(path, "fault_sweep", "seconds_per_step", manifest);
   for (const auto& d : points) {

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/build_flavor.hpp"
 #include "obs/export.hpp"
 #include "particles/batched_engine.hpp"
 #include "particles/cell_list.hpp"
@@ -209,6 +210,7 @@ void write_json(const std::string& path, const std::vector<Measurement>& ms, dou
                 int repeats) {
   obs::RunManifest manifest;
   manifest.machine = "host";
+  bench::record_build_flavor(manifest);
   manifest.set("min_ms", min_ms)
       .set("repeats", repeats)
       .set("simd_max", simd::backend_name(simd::max_supported()));

@@ -28,6 +28,7 @@
 #include <system_error>
 #include <vector>
 
+#include "bench/build_flavor.hpp"
 #include "machine/presets.hpp"
 #include "obs/export.hpp"
 #include "obs/step_series.hpp"
@@ -198,6 +199,7 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
                 const std::vector<SocketResult>& socket_rs, double min_ms, int repeats) {
   obs::RunManifest manifest;
   manifest.machine = "host";
+  bench::record_build_flavor(manifest);
   manifest
       .set("note",
            "host wall time per full timestep via sim::Simulation; virtual-time ledgers are "

@@ -47,9 +47,11 @@
 //                      lockstep keeps the PR 8 full-SPMD replication.
 //                      Either way, trajectories, ledgers, and traces are
 //                      bitwise identical to the modeled arm.
-// With --transport=socket only the group-0 process prints and writes
-// output files; the other groups compute, feed the fabric, and exit. A
-// crashed group fails the whole run with that group's exit status.
+// With --transport=socket only the group-0 process prints, reports
+// errors and writes output files; the other groups compute, feed the
+// fabric, and exit. A crashed group fails the whole run with that group's
+// exit status. A rendezvous directory the run created is removed however
+// the run ends, an error after the fork included.
 //
 // Fault injection (deterministic; see vmpi/fault.hpp and docs/TESTING.md).
 // Passing any of these attaches a PerturbationModel to the virtual machine;
@@ -98,7 +100,9 @@
 #include <iostream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "core/autotuner.hpp"
@@ -170,9 +174,27 @@ const std::vector<std::string> kOptions = {
     "transport-groups", "transport-group", "transport-dir",
     "transport-drop", "transport-drop-seed", "transport-exec"};
 
+/// False in transport groups other than 0: a failure every group hits (a
+/// bad configuration after the fork) is reported once, by group 0.
+bool reports_errors = true;
+
+/// Removes the rendezvous directory this process created, on every way out
+/// of run() — an error after the fork included.
+struct OwnedDir {
+  std::string path;
+  ~OwnedDir() {
+    if (path.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv, kOptions);
   using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
+  // Declared before `launch`, so the directory goes only after
+  // ~ProcessGroup has reaped the children that rendezvous in it.
+  OwnedDir owned_rendezvous_dir;
   // Declared before cfg so that, when an error unwinds this function, the
   // endpoint in cfg.transport is torn down (flush + close barrier) before
   // ~ProcessGroup reaps the forked children.
@@ -215,7 +237,6 @@ int run(int argc, char** argv) {
   // before the simulation is built so every group constructs identical
   // state. `primary` gates every print and file output below: group 0
   // speaks for the run, the other groups compute, feed the fabric, exit 0.
-  std::string owned_rendezvous_dir;
   bool primary = true;
   {
     const std::string tname = args.get("transport", "modeled");
@@ -254,13 +275,17 @@ int run(int argc, char** argv) {
         if (args.has("transport-dir")) {
           topts.dir = args.get("transport-dir", "");
         } else {
-          owned_rendezvous_dir = vmpi::make_rendezvous_dir();
-          topts.dir = owned_rendezvous_dir;
+          owned_rendezvous_dir.path = vmpi::make_rendezvous_dir();
+          topts.dir = owned_rendezvous_dir.path;
         }
         launch = std::make_unique<vmpi::ProcessGroup>(topts.groups);
         topts.group = launch->group();
+        // The forked children share the parent's directory; only the
+        // parent removes it.
+        if (!launch->primary()) owned_rendezvous_dir.path.clear();
       }
       primary = topts.group == 0;
+      reports_errors = primary;
     }
     // Modeled yields no endpoint by design: the default arm moves bytes
     // in-process already and attaching nothing keeps it allocation-free.
@@ -519,17 +544,11 @@ int run(int argc, char** argv) {
   cfg.transport.reset();
   if (launch != nullptr) {
     const int child_status = launch->wait_children();
-    if (launch->primary()) {
-      if (!owned_rendezvous_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(owned_rendezvous_dir, ec);
-      }
-      if (child_status != 0) {
-        // Fail the run with the crashed group's status — a silent exit 0
-        // here would hide a child that diverged or died to a signal.
-        std::cerr << "error: a forked transport group failed (status " << child_status << ")\n";
-        return child_status;
-      }
+    if (launch->primary() && child_status != 0) {
+      // Fail the run with the crashed group's status — a silent exit 0
+      // here would hide a child that diverged or died to a signal.
+      std::cerr << "error: a forked transport group failed (status " << child_status << ")\n";
+      return child_status;
     }
   }
   return 0;
@@ -548,9 +567,10 @@ int main(int argc, char** argv) {
   try {
     return run(argc, argv);
   } catch (const std::invalid_argument& e) {  // PreconditionError, malformed numbers
-    std::cerr << "error: " << e.what() << "\n" << usage << "\n";
+    if (reports_errors) std::cerr << "error: " << e.what() << "\n" << usage << "\n";
   } catch (const std::out_of_range& e) {  // numbers that overflow their type
-    std::cerr << "error: out-of-range value: " << e.what() << "\n" << usage << "\n";
+    if (reports_errors)
+      std::cerr << "error: out-of-range value: " << e.what() << "\n" << usage << "\n";
   }
   return 2;
 }

@@ -4,7 +4,17 @@
 // the *host* executes a block-block interaction. The α-β-γ ledger is charged
 // from the returned InteractionCount, so both engines must agree on
 // `examined`/`within_cutoff` exactly (bitwise) — tests enforce this. The
-// scalar path stays the exactness reference.
+// AoS particles::accumulate_forces (kernels.hpp) is the exactness oracle:
+// the scalar SoA engine matches it bit for bit, the batched engine within
+// its per-call fold.
+//
+// The scalar engine (accumulate_forces_scalar, the default) has two rows.
+// Without a cutoff it is the plain per-pair loop. With one, it culls
+// targets out of reach of the visitor block's bounds, then filters each
+// source chunk branch-free into a compacted list of in-range candidates
+// and runs the kernel only over that list, in source order — so only the
+// pairs inside the cutoff cost kernel work, and the sums are bitwise the
+// per-pair loop's. Every cutoff sweep shares one cull (LaneBounds).
 //
 // The sweep is generic over its operand layout: resident SoaBlocks (float
 // lanes, promoted to double per load — an exact conversion the vectorizer
@@ -49,8 +59,8 @@
 namespace canb::particles {
 
 /// Selects the host-side implementation of the block-block force sweep.
-/// Scalar is the original pairwise loop (the exactness reference); Batched
-/// is the SoA tiled engine. Virtual-time results are identical by
+/// Scalar (the default) is bit for bit the AoS reference loop; Batched is
+/// the SoA tiled engine. Virtual-time results are identical by
 /// construction.
 enum class KernelEngine { Scalar, Batched };
 
@@ -81,6 +91,60 @@ inline double lane_coupling(const TgtT& a, std::size_t i, const SrcT& b, std::si
     return 1.0;
 }
 
+/// Axis-aligned bounds of a run of source lanes, and the conservative cull
+/// every cutoff sweep shares: the batched sweeps bound each source tile,
+/// the scalar cutoff row bounds the whole visitor block.
+///
+/// No member initializers: the batched sweeps keep kMaxCullTiles of these
+/// on the stack per call, and zeroing them would cost more than the fill.
+struct LaneBounds {
+  double minx;
+  double maxx;
+  double miny;
+  double maxy;
+
+  /// Bounds of lanes [0, n) of `xs`/`ys` (n >= 1), widened to double.
+  template <class T>
+  static LaneBounds of(const T* xs, const T* ys, std::size_t n) noexcept {
+    const double x0 = static_cast<double>(xs[0]);
+    const double y0 = static_cast<double>(ys[0]);
+    LaneBounds b{x0, x0, y0, y0};
+    for (std::size_t t = 1; t < n; ++t) {
+      const double x = static_cast<double>(xs[t]);
+      const double y = static_cast<double>(ys[t]);
+      b.minx = std::min(b.minx, x);
+      b.maxx = std::max(b.maxx, x);
+      b.miny = std::min(b.miny, y);
+      b.maxy = std::max(b.maxy, y);
+    }
+    return b;
+  }
+
+  /// Lower bound on the min-image |d| from point v to interval [lo, hi]:
+  /// direct distance when `wrap` is 0 (reflective); under wrap,
+  /// min-image(|diff|) >= min(d_lo, L - d_hi) for |diff| in [d_lo, d_hi]
+  /// (clamped at 0).
+  static double axis_bound(double v, double lo, double hi, double wrap) noexcept {
+    const double dlo = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
+    if (wrap <= 0.0) return dlo;
+    const double dhi = std::max(v < lo ? hi - v : v - lo, hi - lo);
+    return std::max(0.0, std::min(dlo, wrap - dhi));
+  }
+
+  /// True when every lane inside these bounds is provably beyond the cutoff
+  /// from (x, y): each such pair fails the cutoff test, so skipping it
+  /// leaves force sums bitwise unchanged and the caller only owes the id
+  /// compares to `examined`. `wrap_x`/`wrap_y` are the periodic lengths (0
+  /// when reflective); 1D boxes ignore y. The (1 - 1e-9) slack absorbs the
+  /// few-ulp rounding in the bound itself.
+  bool out_of_reach(double x, double y, double wrap_x, double wrap_y, bool two_d,
+                    double cut2) const noexcept {
+    const double bx = axis_bound(x, minx, maxx, wrap_x);
+    const double by = two_d ? axis_bound(y, miny, maxy, wrap_y) : 0.0;
+    return (bx * bx + by * by) * (1.0 - 1e-9) > cut2;
+  }
+};
+
 class BatchedEngine {
  public:
   /// Source lanes processed per tile: 3 double scratch buffers + 5 source
@@ -95,6 +159,23 @@ class BatchedEngine {
   /// host tuner can calibrate per (kernel, n); this default needs no
   /// calibration run.
   static constexpr std::size_t kInlineLaneMax = 192;
+
+  /// Most source tiles the cutoff cull bounds (on the stack); blocks with
+  /// more tiles sweep unculled.
+  static constexpr std::size_t kMaxCullTiles = 256;
+
+  /// Fills `out` with one LaneBounds per `tile`-wide run of lanes [0, n);
+  /// returns false, filling nothing, when there are no lanes or more than
+  /// kMaxCullTiles tiles.
+  template <class T>
+  static bool tile_bounds(const T* xs, const T* ys, std::size_t n, std::size_t tile,
+                          LaneBounds* out) noexcept {
+    const std::size_t ntiles = (n + tile - 1) / tile;
+    if (n == 0 || ntiles > kMaxCullTiles) return false;
+    for (std::size_t b = 0; b < ntiles; ++b)
+      out[b] = LaneBounds::of(xs + b * tile, ys + b * tile, std::min(tile, n - b * tile));
+    return true;
+  }
 
   /// Runs the tiled sweep of `src` against `tgt`, accumulating into the
   /// target's double fx/fy lanes. Operands are anything exposing the shared
@@ -152,52 +233,14 @@ class BatchedEngine {
     double* const tfx = tgt.fxs();
     double* const tfy = tgt.fys();
 
-    // Source-tile bounding boxes for the cutoff cull below. A culled tile is
-    // one where a conservative lower bound on the min-image distance from
-    // the target to the tile's bbox already exceeds the cutoff: every lane's
-    // mask would be 0.0 and its force contribution an exact ±0.0, so
-    // skipping the tile leaves force sums bitwise unchanged (a sum that
+    // Source-tile bounds for the cutoff cull below. A culled tile is one
+    // whose every lane's mask would be 0.0 and force contribution an exact
+    // ±0.0, so skipping it leaves force sums bitwise unchanged (a sum that
     // starts at +0.0 is unaffected by adding signed zeros). `within` gains
     // nothing and `examined` only needs the id compares, so the ledger is
     // bitwise identical too — the cull elides only sqrt/divide work.
-    constexpr std::size_t kMaxCullTiles = 256;
-    const std::size_t ntiles = (ns + tile - 1) / tile;
-    const bool cull = cutoff > 0.0 && ns > 0 && ntiles <= kMaxCullTiles;
-    double bminx[kMaxCullTiles];
-    double bmaxx[kMaxCullTiles];
-    double bminy[kMaxCullTiles];
-    double bmaxy[kMaxCullTiles];
-    if (cull) {
-      for (std::size_t b = 0; b < ntiles; ++b) {
-        const std::size_t j0 = b * tile;
-        const std::size_t len = std::min(tile, ns - j0);
-        double mnx = static_cast<double>(sx[j0]);
-        double mxx = mnx;
-        double mny = static_cast<double>(sy[j0]);
-        double mxy = mny;
-        for (std::size_t t = 1; t < len; ++t) {
-          const double x = static_cast<double>(sx[j0 + t]);
-          const double y = static_cast<double>(sy[j0 + t]);
-          mnx = std::min(mnx, x);
-          mxx = std::max(mxx, x);
-          mny = std::min(mny, y);
-          mxy = std::max(mxy, y);
-        }
-        bminx[b] = mnx;
-        bmaxx[b] = mxx;
-        bminy[b] = mny;
-        bmaxy[b] = mxy;
-      }
-    }
-    // Lower bound on the min-image |d| from point v to interval [lo, hi]:
-    // direct distance when reflective; under wrap, min-image(|diff|) >=
-    // min(d_lo, L - d_hi) for |diff| in [d_lo, d_hi] (clamped at 0).
-    const auto axis_bound = [](double v, double lo, double hi, double wrap) noexcept {
-      const double dlo = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
-      if (wrap <= 0.0) return dlo;
-      const double dhi = std::max(v < lo ? hi - v : v - lo, hi - lo);
-      return std::max(0.0, std::min(dlo, wrap - dhi));
-    };
+    LaneBounds bounds[kMaxCullTiles];
+    const bool cull = cutoff > 0.0 && tile_bounds(sx, sy, ns, tile, bounds);
 
     // Row pipeline choice for lane-batched kernels: exact-lane kernels
     // (kLanesExact) drop to the inlined pre-dispatch pipeline on small
@@ -235,19 +278,10 @@ class BatchedEngine {
           const double xi = static_cast<double>(tx[i]);
           const double yi = static_cast<double>(ty[i]);
           const std::int32_t idi = tid[i];
-          if (cull) {
-            const std::size_t b = j0 / tile;
-            const double bx = axis_bound(xi, bminx[b], bmaxx[b], lxs);
-            const double by =
-                dimy != 0.0 ? axis_bound(yi, bminy[b], bmaxy[b], lys) : 0.0;
-            // The (1 - 1e-9) slack absorbs the few-ulp rounding in the
-            // bound itself; a tile is only culled when provably out of
-            // range, so the per-pair masks it skips were all exactly 0.0.
-            if ((bx * bx + by * by) * (1.0 - 1e-9) > cut2) {
-              for (std::size_t t = 0; t < len; ++t)
-                examined += static_cast<std::uint64_t>(idi != sid[j0 + t]);
-              continue;
-            }
+          if (cull && bounds[j0 / tile].out_of_reach(xi, yi, lxs, lys, dimy != 0.0, cut2)) {
+            for (std::size_t t = 0; t < len; ++t)
+              examined += static_cast<std::uint64_t>(idi != sid[j0 + t]);
+            continue;
           }
           double ci = 1.0;
           if constexpr (K::kCoupling == Coupling::Charge)
@@ -457,41 +491,9 @@ class BatchedEngine {
     double* const tfx = tgt.fxs();
     double* const tfy = tgt.fys();
 
-    constexpr std::size_t kMaxCullTiles = 256;
     const std::size_t ntiles = n == 0 ? 0 : (n + tile - 1) / tile;
-    const bool cull = cutoff > 0.0 && n > 0 && ntiles <= kMaxCullTiles;
-    double bminx[kMaxCullTiles];
-    double bmaxx[kMaxCullTiles];
-    double bminy[kMaxCullTiles];
-    double bmaxy[kMaxCullTiles];
-    if (cull) {
-      for (std::size_t b = 0; b < ntiles; ++b) {
-        const std::size_t j0 = b * tile;
-        const std::size_t len = std::min(tile, n - j0);
-        double mnx = static_cast<double>(px[j0]);
-        double mxx = mnx;
-        double mny = static_cast<double>(py[j0]);
-        double mxy = mny;
-        for (std::size_t t = 1; t < len; ++t) {
-          const double x = static_cast<double>(px[j0 + t]);
-          const double y = static_cast<double>(py[j0 + t]);
-          mnx = std::min(mnx, x);
-          mxx = std::max(mxx, x);
-          mny = std::min(mny, y);
-          mxy = std::max(mxy, y);
-        }
-        bminx[b] = mnx;
-        bmaxx[b] = mxx;
-        bminy[b] = mny;
-        bmaxy[b] = mxy;
-      }
-    }
-    const auto axis_bound = [](double v, double lo, double hi, double wrap) noexcept {
-      const double dlo = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
-      if (wrap <= 0.0) return dlo;
-      const double dhi = std::max(v < lo ? hi - v : v - lo, hi - lo);
-      return std::max(0.0, std::min(dlo, wrap - dhi));
-    };
+    LaneBounds bounds[kMaxCullTiles];
+    const bool cull = cutoff > 0.0 && tile_bounds(px, py, n, tile, bounds);
 
     // Per-target running sums of per-tile partials (the full sweep's
     // accx/accy, but full-length so scattered partials can land anywhere).
@@ -640,12 +642,9 @@ class BatchedEngine {
         // True when the row's tile-level cull proves every mask exactly
         // 0.0; such a row only contributes id-compare counts.
         const auto row_culled = [&](std::size_t i) {
-          if (!cull) return false;
-          const double xi = static_cast<double>(px[i]);
-          const double yi = static_cast<double>(py[i]);
-          const double bx = axis_bound(xi, bminx[b], bmaxx[b], lxs);
-          const double by = dimy != 0.0 ? axis_bound(yi, bminy[b], bmaxy[b], lys) : 0.0;
-          return (bx * bx + by * by) * (1.0 - 1e-9) > cut2;
+          return cull && bounds[b].out_of_reach(static_cast<double>(px[i]),
+                                                static_cast<double>(py[i]), lxs, lys,
+                                                dimy != 0.0, cut2);
         };
         const auto count_culled_row = [&](std::size_t i) {
           const std::int32_t idi = pid[i];
@@ -765,17 +764,118 @@ struct SweepTuning {
   std::size_t inline_lane_max = BatchedEngine::kInlineLaneMax;
 };
 
-/// Scalar block-block sweep over resident SoA lanes: pair-for-pair the same
-/// traversal order, branch structure, and min-image arithmetic as the AoS
-/// particles::accumulate_forces, with the per-target double accumulation
-/// landing in the block's double force lanes.
+/// Sources per filter/compute pass of the scalar cutoff row: the four
+/// candidate buffers (dx, dy, r2, source index) stay inside L1.
+inline constexpr std::size_t kScalarCutoffChunk = 256;
+
+/// Scalar sweep with a cutoff: the same pairs, the same min-image
+/// arithmetic and the same per-target summation order as the AoS
+/// particles::accumulate_forces (the exactness oracle), evaluated in two
+/// stages per source chunk so the out-of-range majority never reaches the
+/// kernel or a mispredicted branch:
+///  * filter: a branch-free pass computes dx, dy and r2 for every source
+///    and appends the in-range ones (id differs, !(r2 > cutoff2)) to stack
+///    buffers in ascending source order;
+///  * compute: a dense pass evaluates the kernel over those buffers and
+///    adds mag*dx, mag*dy in the same order, so the running sums see the
+///    exact sequence of adds the per-pair loop performed.
+/// Before either, a target whose min-image distance to the visitor block's
+/// bounds provably exceeds the cutoff skips both stages and only counts its
+/// id compares (LaneBounds::out_of_reach). The filter is compiled per box
+/// kind, so reflective and 1D rows carry no wrap or y arithmetic; the
+/// periodic wrap is branch-free but bitwise the branchy one: it subtracts
+/// L, -L or +0.0, and x - (-L) is x + L in IEEE arithmetic.
+template <bool kPeriodic, bool kTwoD, ForceKernel K>
+InteractionCount scalar_cutoff_rows(SoaBlock& tgt, const SoaBlock& src, const Box& box,
+                                    const K& kernel, double cutoff) {
+  InteractionCount count;
+  const double cutoff2 = cutoff * cutoff;
+  const double lx = box.lx;
+  const double ly = box.ly;
+  const double hx = 0.5 * box.lx;
+  const double hy = 0.5 * box.ly;
+  const std::size_t nt = tgt.size();
+  const std::size_t ns = src.size();
+  const float* const sx = src.px.data();
+  const float* const sy = src.py.data();
+  const std::int32_t* const sid = src.id.data();
+  const LaneBounds reach = ns > 0 ? LaneBounds::of(sx, sy, ns) : LaneBounds{};
+
+  double cdx[kScalarCutoffChunk];
+  double cdy[kScalarCutoffChunk];
+  double cr2[kScalarCutoffChunk];
+  std::uint32_t cj[kScalarCutoffChunk];
+  for (std::size_t i = 0; i < nt; ++i) {
+    const double xi = static_cast<double>(tgt.px[i]);
+    const double yi = kTwoD ? static_cast<double>(tgt.py[i]) : 0.0;
+    const std::int32_t idi = tgt.id[i];
+    double ax = 0.0;
+    double ay = 0.0;
+    if (ns == 0 ||
+        reach.out_of_reach(xi, yi, kPeriodic ? lx : 0.0, kPeriodic ? ly : 0.0, kTwoD, cutoff2)) {
+      for (std::size_t j = 0; j < ns; ++j)
+        count.examined += static_cast<std::uint64_t>(idi != sid[j]);
+    } else {
+      for (std::size_t j0 = 0; j0 < ns; j0 += kScalarCutoffChunk) {
+        const std::size_t len = std::min(kScalarCutoffChunk, ns - j0);
+        std::size_t m = 0;
+        std::uint64_t examined = 0;
+        for (std::size_t t = 0; t < len; ++t) {
+          const std::size_t j = j0 + t;
+          double dx = xi - static_cast<double>(sx[j]);
+          double dy = kTwoD ? yi - static_cast<double>(sy[j]) : 0.0;
+          if constexpr (kPeriodic) {
+            dx -= lx * (static_cast<double>(dx > hx) - static_cast<double>(dx < -hx));
+            if constexpr (kTwoD)
+              dy -= ly * (static_cast<double>(dy > hy) - static_cast<double>(dy < -hy));
+          }
+          const double r2 = dx * dx + dy * dy;
+          const bool other = idi != sid[j];
+          cdx[m] = dx;
+          cdy[m] = dy;
+          cr2[m] = r2;
+          cj[m] = static_cast<std::uint32_t>(j);
+          m += static_cast<std::size_t>(other && !(r2 > cutoff2));
+          examined += static_cast<std::uint64_t>(other);
+        }
+        count.examined += examined;
+        count.within_cutoff += m;
+        count.computed += m;
+        for (std::size_t k = 0; k < m; ++k) {
+          const double mag = kernel.magnitude(cr2[k], lane_coupling<K>(tgt, i, src, cj[k]));
+          ax += mag * cdx[k];
+          ay += mag * cdy[k];
+        }
+      }
+    }
+    // Float fold per target, as the AoS loop's `t.fx += float(ax)` (see the
+    // precision invariant in the header comment). Culled targets fold +0.0
+    // too: the fold itself can turn a -0.0 lane into +0.0.
+    tgt.fx[i] = static_cast<double>(static_cast<float>(tgt.fx[i]) + static_cast<float>(ax));
+    tgt.fy[i] = static_cast<double>(static_cast<float>(tgt.fy[i]) + static_cast<float>(ay));
+  }
+  return count;
+}
+
+/// Scalar block-block sweep over resident SoA lanes: the same pairs, source
+/// order and min-image arithmetic as the AoS particles::accumulate_forces,
+/// with the per-target double accumulation landing in the block's double
+/// force lanes. With a cutoff it takes the compacted row above, compiled for
+/// the box kind; without one every examined pair is computed, and the plain
+/// per-pair loop below is the faster shape.
 template <ForceKernel K>
 InteractionCount accumulate_forces_scalar(SoaBlock& tgt, const SoaBlock& src, const Box& box,
                                           const K& kernel, double cutoff = 0.0) {
-  InteractionCount count;
-  const double cutoff2 = cutoff > 0.0 ? cutoff * cutoff : 0.0;
   const bool periodic = box.boundary == Boundary::Periodic;
   const bool two_d = box.dims == 2;
+  if (cutoff > 0.0) {
+    if (two_d)
+      return periodic ? scalar_cutoff_rows<true, true>(tgt, src, box, kernel, cutoff)
+                      : scalar_cutoff_rows<false, true>(tgt, src, box, kernel, cutoff);
+    return periodic ? scalar_cutoff_rows<true, false>(tgt, src, box, kernel, cutoff)
+                    : scalar_cutoff_rows<false, false>(tgt, src, box, kernel, cutoff);
+  }
+  InteractionCount count;
   const std::size_t nt = tgt.size();
   const std::size_t ns = src.size();
   for (std::size_t i = 0; i < nt; ++i) {
@@ -802,7 +902,6 @@ InteractionCount accumulate_forces_scalar(SoaBlock& tgt, const SoaBlock& src, co
         }
       }
       const double r2 = dx * dx + dy * dy;
-      if (cutoff2 > 0.0 && r2 > cutoff2) continue;
       ++count.within_cutoff;
       ++count.computed;
       const double mag = kernel.magnitude(r2, lane_coupling<K>(tgt, i, src, j));

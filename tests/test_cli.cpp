@@ -29,13 +29,14 @@ std::string slurp(const std::filesystem::path& path) {
 }
 
 /// Runs the binary with `args` through the shell, capturing both streams.
-Outcome run_cli(const std::string& args) {
+/// `env` (e.g. "TMPDIR=/some/dir") is prefixed to the command line.
+Outcome run_cli(const std::string& args, const std::string& env = "") {
   const auto dir = std::filesystem::temp_directory_path();
   const auto tag = std::to_string(::getpid()) + "_" +
                    ::testing::UnitTest::GetInstance()->current_test_info()->name();
   const auto out_path = dir / ("canb_cli_out_" + tag);
   const auto err_path = dir / ("canb_cli_err_" + tag);
-  const std::string cmd = std::string(CANB_RUN_SIMULATION) + " " + args + " >" +
+  const std::string cmd = env + " " + std::string(CANB_RUN_SIMULATION) + " " + args + " >" +
                           out_path.string() + " 2>" + err_path.string();
   const int status = std::system(cmd.c_str());
   Outcome o;
@@ -68,6 +69,26 @@ TEST(CliErrors, MalformedNumberExitsTwo) { EXPECT_EQ(run_cli("--n=many").exit_co
 TEST(CliErrors, InvalidConfigurationExitsTwo) {
   // c = 3 does not divide p = 64: rejected by the engine's constructor.
   expect_usage_error(run_cli("--p=64 --c=3 --n=64 --steps=1"), "replication factor");
+}
+
+TEST(CliErrors, ForkedSocketRunFailingAfterForkReportsOnceAndCleansUp) {
+  // c = 3 is rejected after the socket arm forked its groups: every group
+  // fails the same way, group 0 alone reports it, and the private
+  // rendezvous directory the run made under $TMPDIR is gone afterwards.
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   ("canb_cli_tmpdir_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(tmp);
+  std::filesystem::create_directory(tmp);
+  const Outcome o = run_cli("--transport=socket --p=64 --c=3 --n=64 --steps=1",
+                            "TMPDIR=" + tmp.string());
+  EXPECT_EQ(o.exit_code, 2) << "stderr: " << o.err;
+  std::size_t error_lines = 0;
+  std::istringstream lines(o.err);
+  for (std::string line; std::getline(lines, line);)
+    error_lines += line.rfind("error:", 0) == 0 ? 1 : 0;
+  EXPECT_EQ(error_lines, 1u) << "stderr: " << o.err;
+  EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "left behind under " << tmp;
+  std::filesystem::remove_all(tmp);
 }
 
 TEST(CliErrors, HelpPrintsUsageAndExitsZero) {

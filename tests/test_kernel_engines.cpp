@@ -3,8 +3,14 @@
 // plus the Batched-vs-Scalar kernel-engine parity suite: forces must agree
 // within 1e-5 relative error and InteractionCount must be bitwise equal for
 // every kernel across cutoff/boundary/self-interaction cases — the batched
-// engine may only change host time, never physics or the ledger.
+// engine may only change host time, never physics or the ledger. The
+// default scalar SoA engine is pinned harder: bit for bit against the AoS
+// particles::accumulate_forces oracle, counts included.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "core/ca_all_pairs.hpp"
 #include "core/ca_cutoff.hpp"
@@ -143,6 +149,222 @@ TYPED_TEST(KernelEngines, BatchedCellListMatchesScalarCellList) {
     particles::sort_by_id(scalar_ps);
     particles::sort_by_id(batched_ps);
     EXPECT_LT(particles::max_force_deviation(batched_ps, scalar_ps, 1e-12), 1e-5);
+  }
+}
+
+// --- Scalar SoA engine vs the AoS oracle (bitwise) --------------------------
+
+// Source ids start here so cross-block pairs never share an id.
+constexpr std::int32_t kSourceIdBase = 100000;
+
+Block with_source_ids(Block b) {
+  for (auto& p : b) p.id += kSourceIdBase;
+  return b;
+}
+
+// Seeds the targets' force fields with prior partial sums, -0.0f among
+// them, so the per-target float fold runs on every target: a sweep that
+// skipped the fold for a target without in-range pairs would leave a -0.0
+// lane that the oracle turns into +0.0.
+Block with_prior_forces(Block b) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i].fx = i % 3 == 0 ? -0.0f : 0.25f * static_cast<float>(i % 7) - 0.5f;
+    b[i].fy = i % 3 == 1 ? -0.0f : 0.125f * static_cast<float>(i % 5);
+  }
+  return b;
+}
+
+// interact_blocks(Scalar) on SoA blocks against particles::accumulate_forces
+// on the same particles: every count exact, every force lane bit-equal.
+template <class K>
+void expect_scalar_matches_oracle(const Box& box, double cutoff, const Block& targets,
+                                  const Block& sources, bool same_block = false) {
+  const K kernel = make_kernel<K>();
+  Block want = targets;
+  const auto cw = particles::accumulate_forces(std::span<particles::Particle>(want),
+                                               std::span<const particles::Particle>(sources),
+                                               box, kernel, cutoff);
+  particles::SoaBlock got(targets);
+  const particles::SoaBlock src(sources);
+  const auto cg = particles::interact_blocks(particles::KernelEngine::Scalar, got, src, box,
+                                             kernel, cutoff, same_block);
+  EXPECT_EQ(cg.examined, cw.examined);
+  EXPECT_EQ(cg.within_cutoff, cw.within_cutoff);
+  EXPECT_EQ(cg.computed, cw.computed);
+  EXPECT_EQ(cg.half_sweep, cw.half_sweep);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const particles::Particle g = got.get(i);
+    // The lanes must hold float-representable values (the fold's contract)
+    // and those floats must be the oracle's, sign of zero included.
+    EXPECT_EQ(got.fx[i], static_cast<double>(g.fx)) << "target " << i;
+    EXPECT_EQ(got.fy[i], static_cast<double>(g.fy)) << "target " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(g.fx), std::bit_cast<std::uint32_t>(want[i].fx))
+        << "fx of target " << i << ": " << g.fx << " vs " << want[i].fx;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(g.fy), std::bit_cast<std::uint32_t>(want[i].fy))
+        << "fy of target " << i << ": " << g.fy << " vs " << want[i].fy;
+  }
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleAcrossBoxes) {
+  struct Case {
+    Box box;
+    double cutoff;
+  };
+  const Case cases[] = {
+      {Box::reflective_2d(1.0), 0.0},  {Box::reflective_2d(1.0), 0.2},
+      {Box::periodic_2d(1.0), 0.0},    {Box::periodic_2d(1.0), 0.3},
+      {Box::reflective_1d(1.0), 0.0},  {Box::reflective_1d(1.0), 0.1},
+      {Box::periodic_1d(1.0), 0.0},    {Box::periodic_1d(1.0), 0.2},
+  };
+  std::uint64_t seed = 51;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "dims=" << c.box.dims << " periodic="
+                                      << (c.box.boundary == particles::Boundary::Periodic)
+                                      << " cutoff=" << c.cutoff);
+    const Block targets = with_prior_forces(particles::init_uniform(96, c.box, seed++));
+    const Block sources = with_source_ids(particles::init_uniform(80, c.box, seed++));
+    expect_scalar_matches_oracle<TypeParam>(c.box, c.cutoff, targets, sources);
+  }
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleSameBlock) {
+  for (const Box& box : {Box::reflective_2d(1.0), Box::periodic_2d(1.0), Box::periodic_1d(1.0)}) {
+    for (const double cutoff : {0.0, 0.25}) {
+      const Block targets = with_prior_forces(particles::init_uniform(120, box, 61));
+      expect_scalar_matches_oracle<TypeParam>(box, cutoff, targets, targets,
+                                              /*same_block=*/true);
+    }
+  }
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleAcrossSourceChunks) {
+  // More sources than one filter/compute chunk, and not a multiple of it:
+  // the running sums carry across chunk boundaries and the tail chunk.
+  const int ns = static_cast<int>(3 * particles::kScalarCutoffChunk + 37);
+  for (const Box& box : {Box::reflective_2d(1.0), Box::periodic_2d(1.0)}) {
+    const Block targets = with_prior_forces(particles::init_uniform(40, box, 71));
+    const Block sources = with_source_ids(particles::init_uniform(ns, box, 72));
+    expect_scalar_matches_oracle<TypeParam>(box, 0.35, targets, sources);
+    // The same block on both sides: every chunk holds one id-equal lane.
+    const Block both = with_prior_forces(particles::init_uniform(ns, box, 73));
+    expect_scalar_matches_oracle<TypeParam>(box, 0.2, both, both, /*same_block=*/true);
+  }
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleSummationOrder) {
+  // The float fold hides most double-level reorderings, so cancel the
+  // signal: sources come in mirror pairs around the target (dyadic
+  // offsets, so each pair's forces are exact negatives), all first halves
+  // before all mirrors. The exact sum is 0 and the result is pure rounding
+  // residue of the running sum across chunk boundaries: a different order
+  // or grouping of the in-range adds changes its bits.
+  const Box box = Box::reflective_2d(1.0);
+  const int pairs = static_cast<int>(particles::kScalarCutoffChunk) + 45;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Block offsets = particles::init_uniform(pairs, box, 100 + seed);
+    Block sources(2 * offsets.size());
+    for (std::size_t k = 0; k < offsets.size(); ++k) {
+      // Offsets on a 2^-20 grid in (-0.2, 0.2): 0.5 +- d is exact in float.
+      const float dx = std::round((offsets[k].px - 0.5f) * 0.4f * 1048576.0f) / 1048576.0f;
+      const float dy = std::round((offsets[k].py - 0.5f) * 0.4f * 1048576.0f) / 1048576.0f;
+      particles::Particle& a = sources[k];
+      particles::Particle& b = sources[k + offsets.size()];
+      a.px = 0.5f + dx;
+      a.py = 0.5f + dy;
+      b.px = 0.5f - dx;
+      b.py = 0.5f - dy;
+      a.charge = b.charge = offsets[k].charge;
+      a.mass = b.mass = offsets[k].mass;
+      a.id = kSourceIdBase + static_cast<std::int32_t>(k);
+      b.id = kSourceIdBase + static_cast<std::int32_t>(k + offsets.size());
+    }
+    Block target(1);
+    target[0].px = 0.5f;
+    target[0].py = 0.5f;
+    target[0].id = 0;
+    expect_scalar_matches_oracle<TypeParam>(box, 0.25, target, sources);
+  }
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleAtCutoffFromVisitorBounds) {
+  // Sources on a dyadic lattice spanning [lo, hi]^2, targets exactly one
+  // cutoff away from an edge (r2 == cutoff2 in exact arithmetic: the pair
+  // is in range), one float step farther, or across the periodic wrap. The
+  // target cull must keep every in-range pair and drop only provably
+  // out-of-range ones.
+  const double cutoff = 0.25;
+  const float lo = 0.25f;
+  const float hi = 0.5f;
+  Block sources;
+  for (int a = 0; a <= 4; ++a) {
+    for (int b = 0; b <= 4; ++b) {
+      particles::Particle p{};
+      p.px = lo + 0.0625f * static_cast<float>(a);
+      p.py = lo + 0.0625f * static_cast<float>(b);
+      p.mass = 1.0f + 0.125f * static_cast<float>(a);
+      p.charge = 1.0f - 0.0625f * static_cast<float>(b);
+      p.id = kSourceIdBase + a * 5 + b;
+      sources.push_back(p);
+    }
+  }
+  const float c = static_cast<float>(cutoff);
+  const auto just_past = [](float v, float away) { return std::nextafter(v, away); };
+  const float edges[][2] = {
+      {hi + c, 0.375f},  {lo - c, 0.3125f}, {0.4375f, hi + c}, {0.25f, lo - c},  // on an edge
+      {just_past(hi + c, 1.0f), 0.375f},   {just_past(lo - c, -1.0f), 0.5f},    // one ulp out
+      {0.375f, just_past(hi + c, 1.0f)},   {hi + c, hi + c},                     // corner: out
+      {hi, hi + c},      {lo, lo - c},      {0.375f, 0.375f},  {0.875f, 0.875f},  // inside, far
+  };
+  Block base;
+  std::int32_t id = 0;
+  for (const auto& e : edges) {
+    particles::Particle p{};
+    p.px = e[0];
+    p.py = e[1];
+    p.mass = 2.0f;
+    p.charge = 0.5f;
+    p.id = id++;
+    base.push_back(p);
+  }
+  const Block targets = with_prior_forces(base);
+  expect_scalar_matches_oracle<TypeParam>(Box::reflective_2d(1.0), cutoff, targets, sources);
+  expect_scalar_matches_oracle<TypeParam>(Box::periodic_2d(1.0), cutoff, targets, sources);
+
+  // Across the wrap: sources at x in [0.125, 0.25]; x = 0.875 sits exactly
+  // one cutoff below x = 0.125 through the periodic boundary (dx = 0.75 - 1).
+  Block wrapped = sources;
+  for (auto& p : wrapped) p.px -= 0.125f;
+  Block across = targets;
+  across[0].px = 0.875f;
+  across[1].px = just_past(0.875f, 0.0f);
+  expect_scalar_matches_oracle<TypeParam>(Box::periodic_2d(1.0), cutoff, across, wrapped);
+  expect_scalar_matches_oracle<TypeParam>(Box::periodic_1d(1.0), cutoff, across, wrapped);
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleOnPlummerBlocks) {
+  // Clustered input: dense cores where most pairs are in range, a sparse
+  // halo where most targets are out of reach of the visitor block.
+  const Box box = Box::reflective_2d(1.0);
+  const Block targets = with_prior_forces(particles::init_plummer(300, box, 0.1, 81, 0.02));
+  const Block sources = with_source_ids(particles::init_plummer(280, box, 0.1, 82, 0.02));
+  expect_scalar_matches_oracle<TypeParam>(box, 0.1, targets, sources);
+  expect_scalar_matches_oracle<TypeParam>(box, 0.1, targets, targets, /*same_block=*/true);
+  // A visitor block cut to one quadrant: most of the halo is culled.
+  Block quadrant;
+  for (const auto& p : sources)
+    if (p.px < 0.5f && p.py < 0.5f) quadrant.push_back(p);
+  expect_scalar_matches_oracle<TypeParam>(box, 0.1, targets, quadrant);
+}
+
+TYPED_TEST(KernelEngines, ScalarMatchesAosOracleOnEmptyBlocks) {
+  const Box box = Box::periodic_2d(1.0);
+  const Block some = with_prior_forces(particles::init_uniform(24, box, 91));
+  const Block none;
+  for (const double cutoff : {0.0, 0.2}) {
+    expect_scalar_matches_oracle<TypeParam>(box, cutoff, none, some);
+    expect_scalar_matches_oracle<TypeParam>(box, cutoff, some, none);
+    expect_scalar_matches_oracle<TypeParam>(box, cutoff, none, none, /*same_block=*/true);
   }
 }
 
